@@ -118,6 +118,15 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read {path}: not valid UTF-8 at byte {exc.start}"
+        ) from None
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
 
 
 def _load_corpus(path: str) -> Corpus:
@@ -345,10 +354,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     model = _load_model(args.model)
     corpus = _load_corpus(args.input)
     release = _release(corpus, args.release)
-    verdicts = predict_release(model, release, jobs=args.jobs)
+    verdicts = predict_release(model, release)
     rows = [
         {
             "path": v.path,
@@ -368,10 +378,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     rc = resolve_run_config(args)
     corpus = _load_corpus(args.input)
     setting = _SETTINGS[args.setting]
-    reports = run_experiment(corpus, setting, rc.model, rc.pairing, jobs=args.jobs)
+    reports = run_experiment(corpus, setting, rc.model, rc.pairing)
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
     _write_output(args.output, text)
     print(json.dumps(summarize(reports), sort_keys=True))
@@ -436,6 +447,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         )
 
 
+_JOBS_HELP = "accepted and ignored (must be >= 1); prediction runs as one batched pass"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vulnseq",
@@ -496,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--model", required=True, help="model checkpoint")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--release", type=int, required=True, help="release index to score")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = bit-deterministic)")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flag(p)
 
     p = command("evaluate", cmd_evaluate, "run the release-pair experiment end to end")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="clean", help="training material setting")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="report format")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for prediction")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_model_flags(p)
     _add_output_flag(p)
 

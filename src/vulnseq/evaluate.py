@@ -151,7 +151,6 @@ def run_experiment(
     setting: Setting,
     model_config: ModelConfig,
     pairing_config: PairingConfig,
-    jobs: int = 1,
 ) -> list[EvaluationReport]:
     if len(corpus.releases) < 2:
         raise ConfigError("an experiment needs at least two releases")
@@ -170,7 +169,7 @@ def run_experiment(
                 pairs, 0.1, seed=model_config.seed
             )
             model = train(train_pairs, validation, model_config)
-            verdicts = predict_release(model, test_release, jobs=jobs)
+            verdicts = predict_release(model, test_release)
             cm = confusion(verdicts, _truth(test_release))
             m = metrics(cm)
             existing, novel = novel_existing_breakdown(

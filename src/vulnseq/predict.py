@@ -1,25 +1,32 @@
 """Render vulnerable/non-vulnerable verdicts with a trained model.
 
 A component is decomposed exactly like training material: functions are
-extracted, abstracted with a fresh ID map, and chunked. Each chunk is
-round-tripped through the model; the component is flagged as vulnerable
-when any decoded sequence differs from its input. Comparison happens in
-index space after UNK mapping, so out-of-vocabulary tokens the model
-echoes back as UNK do not count as modifications. A length mismatch,
-including early-EOS truncation, does.
+extracted, abstracted with a fresh ID map, and chunked. The component is
+flagged as vulnerable when greedy decoding would rewrite any of its
+chunks. Comparison happens in index space after UNK mapping, so
+out-of-vocabulary tokens the model echoes back as UNK do not count as
+modifications. A length mismatch, including early-EOS truncation, does.
+
+The model is not run chunk by chunk. All chunks of a release go through
+one teacher-forced identity check (``greedy_reproduces``): the decoder is
+fed ``[SOS] + chunk`` and a chunk counts as unchanged when the argmax at
+every step is the next chunk token and the step after the last token
+gives EOS. Greedy decoding feeds its own argmax back, so this holds
+exactly when ``decode_greedy(encode(chunk))`` returns the chunk; chunks
+hold at most 50 tokens and ``max_decode_length`` is at least 52, so the
+cap never cuts a chunk short.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
 from dataclasses import dataclass
+from typing import Sequence
 
 from .abstraction import SeqRole, SequenceMeta, abstract_function, to_sequences
 from .corpus import ComponentRecord, Release
 from .cparse import extract_functions, tokenize
-from .errors import ConfigError, EmptyFunction, LexError, StructureError
-from .seq2seq import Seq2SeqModel, decode_greedy, encode
+from .errors import EmptyFunction, LexError, StructureError
+from .seq2seq import Seq2SeqModel, Vocabulary, greedy_reproduces
 
 
 @dataclass(frozen=True)
@@ -33,16 +40,15 @@ class ComponentVerdict:
         assert self.predicted_vulnerable == bool(self.modified_sequences)
 
 
-def predict_component(
-    model: Seq2SeqModel, component: ComponentRecord
-) -> ComponentVerdict:
+def _component_rows(
+    component: ComponentRecord, vocab: Vocabulary
+) -> list[tuple[str, int, list[int]]]:
+    """(function, chunk index, ids) for each chunk; none if unparseable."""
     try:
         functions = extract_functions(tokenize(component.source))
     except (LexError, StructureError):
-        return ComponentVerdict(component.path, False, (), 0)
-    vocab = model.vocabulary
-    modified: list[tuple[str, int]] = []
-    total = 0
+        return []
+    rows = []
     for fn in functions:
         tokens, _ = abstract_function(fn)
         try:
@@ -52,28 +58,33 @@ def predict_component(
             )
         except EmptyFunction:
             continue
-        for seq in seqs:
-            total += 1
-            ids = vocab.encode(seq.tokens)
-            _, state = encode(ids, model)
-            if decode_greedy(state, model) != ids:
-                modified.append((fn.name, seq.chunk_index))
-    return ComponentVerdict(
-        component.path, bool(modified), tuple(modified), total
-    )
+        rows.extend((fn.name, seq.chunk_index, vocab.encode(seq.tokens)) for seq in seqs)
+    return rows
 
 
-def predict_release(
-    model: Seq2SeqModel, release: Release, jobs: int = 1
+def _verdicts(
+    model: Seq2SeqModel, components: Sequence[ComponentRecord]
 ) -> list[ComponentVerdict]:
-    """Verdicts in component order.
+    rows = [_component_rows(c, model.vocabulary) for c in components]
+    ids = [r[2] for comp_rows in rows for r in comp_rows]
+    unchanged = iter(greedy_reproduces(model, ids, ids))
+    verdicts = []
+    for component, comp_rows in zip(components, rows):
+        modified = tuple(
+            (fn, chunk) for fn, chunk, _ in comp_rows if not next(unchanged)
+        )
+        verdicts.append(
+            ComponentVerdict(component.path, bool(modified), modified, len(comp_rows))
+        )
+    return verdicts
 
-    With jobs > 1 components are scored in worker processes; the merge
-    order is fixed, so results match a sequential run.
-    """
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
-    if jobs == 1 or len(release.components) <= 1:
-        return [predict_component(model, c) for c in release.components]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(functools.partial(predict_component, model), release.components)
+
+def predict_component(
+    model: Seq2SeqModel, component: ComponentRecord
+) -> ComponentVerdict:
+    return _verdicts(model, [component])[0]
+
+
+def predict_release(model: Seq2SeqModel, release: Release) -> list[ComponentVerdict]:
+    """Verdicts in component order, from one check over all chunks."""
+    return _verdicts(model, release.components)

@@ -4,6 +4,7 @@ from .model import (
     Seq2SeqModel,
     decode_greedy,
     encode,
+    greedy_reproduces,
     init_model,
     recurrent_cell,
     softmax,
@@ -33,6 +34,7 @@ __all__ = [
     "decode_greedy",
     "encode",
     "exact_match_rate",
+    "greedy_reproduces",
     "init_model",
     "load_model",
     "recurrent_cell",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .vocab import EOS, SOS, Vocabulary
+from .vocab import EOS, PAD, SOS, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,15 @@ def recurrent_cell(x, h, c, params):
     return h_new[0], c_new[0]
 
 
-def _encode_batch(model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray):
+def _encode_batch(
+    model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray, states_only: bool = False
+):
     """Run the bidirectional encoder over a right-padded id batch.
 
     Masked positions keep the previous state, so trailing padding never
     leaks into the final states. Returns outputs (B,T,2H), the bridged
-    decoder initial states, and the cache needed for backprop.
+    decoder initial states, and the cache needed for backprop; with
+    states_only the outputs and the cache are None.
     """
     p = model.params
     B, T = ids.shape
@@ -166,7 +169,7 @@ def _encode_batch(model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray):
 
     states = {}
     caches = {"fwd": [], "bwd": []}
-    outputs = np.zeros((B, T, 2 * H))
+    outputs = None if states_only else np.zeros((B, T, 2 * H))
     for direction, order in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
         W, U, b = p[f"enc_{direction}_W"], p[f"enc_{direction}_U"], p[f"enc_{direction}_b"]
         h = np.zeros((B, H))
@@ -174,11 +177,13 @@ def _encode_batch(model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray):
         for t in order:
             m = mask[:, t : t + 1]
             h_new, c_new, gates = _lstm_step(X[:, t], h, c, W, U, b)
-            caches[direction].append((t, X[:, t], h, c, gates, c_new, m))
+            if not states_only:
+                caches[direction].append((t, X[:, t], h, c, gates, c_new, m))
             h = m * h_new + (1.0 - m) * h
             c = m * c_new + (1.0 - m) * c
-            half = slice(0, H) if direction == "fwd" else slice(H, 2 * H)
-            outputs[:, t, half] = h
+            if not states_only:
+                half = slice(0, H) if direction == "fwd" else slice(H, 2 * H)
+                outputs[:, t, half] = h
         states[direction] = (h, c)
 
     h_cat = np.concatenate([states["fwd"][0], states["bwd"][0]], axis=1)
@@ -190,6 +195,8 @@ def _encode_batch(model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray):
         c0 = np.tanh(c_cat @ p[f"bridge_c{layer}_W"] + p[f"bridge_c{layer}_b"])
         init.append((h0, c0))
         bridge_cache.append((h0, c0))
+    if states_only:
+        return None, init, None
     cache = {
         "ids": ids,
         "mask": mask,
@@ -202,14 +209,17 @@ def _encode_batch(model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray):
     return outputs, init, cache
 
 
+def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
+    if not input_ids:
+        raise ShapeError("cannot encode an empty sequence")
+    if any(i < 0 or i >= vocab_size for i in input_ids):
+        raise ShapeError("input id out of vocabulary range")
+
+
 def encode(input_ids: list[int], model: Seq2SeqModel):
     """Encode one sequence. Returns (outputs (T,2H), decoder init states)."""
     check_parameter_shapes(model)
-    if not input_ids:
-        raise ShapeError("cannot encode an empty sequence")
-    v = model.vocabulary.size()
-    if any(i < 0 or i >= v for i in input_ids):
-        raise ShapeError("input id out of vocabulary range")
+    _check_input_ids(input_ids, model.vocabulary.size())
     ids = np.asarray([input_ids], dtype=np.int64)
     mask = np.ones_like(ids, dtype=np.float64)
     outputs, init, _ = _encode_batch(model, ids, mask)
@@ -249,3 +259,84 @@ def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
             break
         out.append(token)
     return out
+
+
+# Rows per teacher-forced pass of greedy_reproduces. Rows are sorted by
+# length first, so a block pads little, and the bound keeps peak memory
+# flat however many rows a release has.
+CHECK_BLOCK_ROWS = 64
+
+
+def greedy_reproduces(
+    model: Seq2SeqModel, inputs: list[list[int]], targets: list[list[int]]
+) -> list[bool]:
+    """For each row, whether ``decode_greedy(encode(input)) == target``.
+
+    Answered without decoding token by token: the inputs are encoded as
+    batches and the decoder runs once per batch, teacher-forced on
+    ``[SOS] + target``. Greedy decoding feeds back its own argmax, so it
+    emits exactly a target of length L when the argmax at every step
+    t < L is ``target[t]`` and, unless L reaches ``max_decode_length``,
+    the argmax at step L is EOS. A target longer than the cap, or holding
+    EOS or an id outside the vocabulary, can never come out. Inputs are
+    checked as ``encode`` checks them.
+    """
+    if len(inputs) != len(targets):
+        raise ShapeError("inputs and targets differ in length")
+    check_parameter_shapes(model)
+    v = model.vocabulary.size()
+    for input_ids in inputs:
+        _check_input_ids(input_ids, v)
+    cap = model.config.max_decode_length
+    result = [False] * len(inputs)
+    rows = [
+        r
+        for r, target in enumerate(targets)
+        if len(target) <= cap and all(0 <= i < v and i != EOS for i in target)
+    ]
+    rows.sort(key=lambda r: (len(inputs[r]), len(targets[r])))
+    for start in range(0, len(rows), CHECK_BLOCK_ROWS):
+        block = rows[start : start + CHECK_BLOCK_ROWS]
+        hits = _reproduces_block(
+            model, [inputs[r] for r in block], [targets[r] for r in block]
+        )
+        for r, hit in zip(block, hits):
+            result[r] = hit
+    return result
+
+
+def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
+    p = model.params
+    n = len(inputs)
+    ids = np.full((n, max(len(s) for s in inputs)), PAD, dtype=np.int64)
+    mask = np.zeros(ids.shape)
+    for b, seq in enumerate(inputs):
+        ids[b, : len(seq)] = seq
+        mask[b, : len(seq)] = 1.0
+    _, init, _ = _encode_batch(model, ids, mask, states_only=True)
+
+    # want[b, t] is the token greedy decoding must emit at step t, or -1
+    # once row b has stopped; a target of the full cap length has no EOS.
+    cap = model.config.max_decode_length
+    steps = min(max(len(s) for s in targets) + 1, cap)
+    want = np.full((n, steps), -1, dtype=np.int64)
+    dec_in = np.full((n, steps), PAD, dtype=np.int64)
+    dec_in[:, 0] = SOS
+    for b, seq in enumerate(targets):
+        want[b, : len(seq)] = seq
+        if len(seq) < cap:
+            want[b, len(seq)] = EOS
+        fed = seq[: steps - 1]
+        dec_in[b, 1 : len(fed) + 1] = fed
+
+    (h0, c0), (h1, c1) = init
+    hit = np.ones(n, dtype=bool)
+    for t in range(steps):
+        x = p["embedding"][dec_in[:, t]]
+        h0, c0, _ = _lstm_step(x, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
+        h1, c1, _ = _lstm_step(h0, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
+        token = np.argmax(softmax(h1 @ p["out_W"] + p["out_b"]), axis=1)
+        hit &= (want[:, t] < 0) | (token == want[:, t])
+        if not hit.any():
+            break
+    return hit.tolist()

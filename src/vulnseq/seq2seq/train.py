@@ -20,8 +20,7 @@ from .model import (
     Seq2SeqModel,
     _encode_batch,
     _lstm_step,
-    decode_greedy,
-    encode,
+    greedy_reproduces,
     init_model,
 )
 from .vocab import EOS, PAD, SOS, Vocabulary, build_vocabulary
@@ -216,12 +215,12 @@ def exact_match_rate(model: Seq2SeqModel, pairs: list[TrainingPair]) -> float:
     if not pairs:
         return 0.0
     vocab = model.vocabulary
-    hits = 0
-    for pair in pairs:
-        _, init = encode(vocab.encode(pair.input.tokens), model)
-        if decode_greedy(init, model) == vocab.encode(pair.target.tokens):
-            hits += 1
-    return hits / len(pairs)
+    hits = greedy_reproduces(
+        model,
+        [vocab.encode(p.input.tokens) for p in pairs],
+        [vocab.encode(p.target.tokens) for p in pairs],
+    )
+    return sum(hits) / len(pairs)
 
 
 def split_holdout(

@@ -187,6 +187,29 @@ def test_missing_input_file_exits_one(capsys):
     assert "no-such-file.jsonl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["abstract", "dump-tokens"])
+def test_non_utf8_source_exits_one_naming_the_file(command, tmp_path, capsys):
+    src = tmp_path / "bad.c"
+    src.write_bytes(b"\xff\xfeint f(void) { return 0; }\n")
+    assert main([command, "-i", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(src) in err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_jobs_below_one_is_rejected(command, corpus_file, tmp_path, capsys):
+    args = {
+        "predict": ["-m", str(tmp_path / "unused.ckpt"), "--release", "1"],
+        "evaluate": [],
+    }[command]
+    code = main([command, "-i", str(corpus_file), *args, "--jobs", "0",
+                 "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["synth", "--frobnicate", "-o", "x"]) == 1
     assert "--frobnicate" in capsys.readouterr().err

@@ -1,0 +1,176 @@
+"""The batched identity check against its oracle, greedy decoding.
+
+``greedy_reproduces`` must answer exactly what
+``decode_greedy(encode(input)) == target`` answers, row by row. The
+models are the converged desk checkpoint stored with the benchmark, two
+copies of it with seeded Gaussian noise added to every parameter, and an
+untrained model; on two synthetic corpora they give both answers, with
+anything from all to none of the rows reproduced.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import vulnseq.seq2seq.model as model_module
+from vulnseq.corpus import clean_training_set
+from vulnseq.errors import ShapeError
+from vulnseq.pairing import PairingConfig, build_training_pairs, labeled_functions_from_material
+from vulnseq.predict import _component_rows, predict_release
+from vulnseq.seq2seq import (
+    EOS,
+    PAD,
+    UNK,
+    ModelConfig,
+    decode_greedy,
+    encode,
+    exact_match_rate,
+    greedy_reproduces,
+    init_model,
+    load_model,
+    vocabulary_from_pairs,
+)
+from vulnseq.seq2seq.model import Seq2SeqModel
+from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
+
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ckpt"
+CORPUS_SEEDS = (3, 11)
+# (seed, standard deviation of the noise added to the checkpoint)
+MODEL_SEEDS_AND_NOISE = ((0, 0.0), (1, 0.02), (2, 0.05))
+SMALL = ModelConfig(embedding_dim=4, hidden_units=4, seed=0)
+
+
+def _oracle(model, inputs, targets):
+    return [decode_greedy(encode(i, model)[1], model) == t for i, t in zip(inputs, targets)]
+
+
+def _pairs(corpus):
+    return build_training_pairs(
+        labeled_functions_from_material(clean_training_set(corpus, 0)),
+        PairingConfig(seed=0),
+    )
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(corpus seed, model name, model, test release, training pairs)."""
+    base = load_model(str(CHECKPOINT))
+    out = []
+    for corpus_seed in CORPUS_SEEDS:
+        corpus = generate_synthetic_corpus(
+            corpus_seed, SynthesisSpec(n_releases=2, components_per_release=12)
+        )
+        pairs = _pairs(corpus)
+        for seed, scale in MODEL_SEEDS_AND_NOISE:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            params = {k: v + rng.normal(0.0, scale, v.shape) for k, v in base.params.items()}
+            model = Seq2SeqModel(base.config, base.vocabulary, params)
+            out.append((corpus_seed, f"seed {seed}", model, corpus.releases[1], pairs))
+        untrained = init_model(
+            dataclasses.replace(base.config, seed=corpus_seed), base.vocabulary
+        )
+        out.append((corpus_seed, "untrained", untrained, corpus.releases[1], pairs))
+    return out
+
+
+def test_predict_rows_match_greedy_decoding(cases):
+    seen = set()
+    for corpus_seed, model_name, model, release, _ in cases:
+        verdicts = predict_release(model, release)
+        for component, verdict in zip(release.components, verdicts):
+            rows = _component_rows(component, model.vocabulary)
+            ids = [r[2] for r in rows]
+            kept = _oracle(model, ids, ids)
+            modified = tuple((fn, chunk) for (fn, chunk, _), ok in zip(rows, kept) if not ok)
+            assert verdict.modified_sequences == modified, (corpus_seed, model_name, component.path)
+            assert verdict.total_sequences == len(rows)
+            seen.update(kept)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("block_rows", [model_module.CHECK_BLOCK_ROWS, 7])
+def test_validation_pairs_match_greedy_decoding(cases, block_rows, monkeypatch):
+    monkeypatch.setattr(model_module, "CHECK_BLOCK_ROWS", block_rows)
+    seen = set()
+    differing = 0
+    for corpus_seed, model_name, model, _, pairs in cases:
+        vocab = model.vocabulary
+        inputs = [vocab.encode(p.input.tokens) for p in pairs]
+        targets = [vocab.encode(p.target.tokens) for p in pairs]
+        differing += sum(i != t for i, t in zip(inputs, targets))
+        expected = _oracle(model, inputs, targets)
+        assert greedy_reproduces(model, inputs, targets) == expected, (corpus_seed, model_name)
+        assert exact_match_rate(model, pairs) == sum(expected) / len(pairs)
+        seen.update(expected)
+    assert differing > 0
+    assert seen == {True, False}
+
+
+def test_unk_ids_match_greedy_decoding(cases):
+    for _, _, model, release, _ in cases:
+        rows = [r[2] for c in release.components for r in _component_rows(c, model.vocabulary)]
+        crafted = [[UNK if k % 3 == 0 else i for k, i in enumerate(ids)] for ids in rows]
+        crafted += [[UNK], [UNK] * 5]
+        assert greedy_reproduces(model, crafted, crafted) == _oracle(model, crafted, crafted)
+
+
+def _forced(token):
+    """An untrained model whose every greedy step emits ``token``."""
+    corpus = generate_synthetic_corpus(3, SynthesisSpec(n_releases=2, components_per_release=4))
+    model = init_model(SMALL, vocabulary_from_pairs(_pairs(corpus)))
+    model.params["out_b"][:] = 0.0
+    model.params["out_b"][token] = 100.0
+    return model
+
+
+def test_targets_holding_eos_count_as_modified():
+    model = _forced(EOS)
+    inputs = [[4], [4, 5], [4]]
+    targets = [[EOS], [4, EOS], []]
+    expected = _oracle(model, inputs, targets)
+    assert expected == [False, False, True]
+    assert greedy_reproduces(model, inputs, targets) == expected
+
+
+def test_length_cap_matches_greedy_decoding():
+    model = _forced(4)
+    cap = model.config.max_decode_length
+    lengths = (cap - 1, cap, cap + 1)
+    inputs = [[4] * n for n in lengths]
+    expected = _oracle(model, inputs, inputs)
+    assert expected == [False, True, False]
+    assert greedy_reproduces(model, inputs, inputs) == expected
+
+
+def test_all_equal_logits_break_ties_like_greedy_decoding():
+    model = _forced(4)
+    for name in model.params:
+        model.params[name][:] = 0.0
+    cap = model.config.max_decode_length
+    inputs = [[4], [PAD] * cap, [PAD] * (cap - 1)]
+    targets = [[PAD] * cap, [PAD] * cap, [PAD] * (cap - 1)]
+    expected = _oracle(model, inputs, targets)
+    assert expected == [True, True, False]
+    assert greedy_reproduces(model, inputs, targets) == expected
+
+
+def test_bad_inputs_raise_like_encode():
+    model = _forced(4)
+    v = model.vocabulary.size()
+    for bad in ([], [4, v], [-1]):
+        with pytest.raises(ShapeError) as from_encode:
+            encode(bad, model)
+        with pytest.raises(ShapeError) as from_check:
+            greedy_reproduces(model, [[4], bad], [[4], [4]])
+        assert str(from_check.value) == str(from_encode.value)
+    with pytest.raises(ShapeError):
+        greedy_reproduces(model, [[4]], [])
+    assert greedy_reproduces(model, [], []) == []
+
+
+def test_out_of_range_targets_never_match():
+    model = _forced(4)
+    v = model.vocabulary.size()
+    assert greedy_reproduces(model, [[4], [4]], [[v], [-1]]) == [False, False]
