@@ -16,7 +16,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import ComponentRecord, Corpus, clean_training_set, realistic_training_set
+import numpy as np
+
+from .corpus import ComponentRecord, Corpus, Setting
 from .cparse import (
     Role,
     classify_identifier_roles,
@@ -24,14 +26,8 @@ from .cparse import (
     strip_noise,
     tokenize,
 )
-from .errors import ConfigError, DegenerateLabels, LexError, StructureError, VulnseqError
-from .evaluate import (
-    EvaluationReport,
-    Setting,
-    confusion,
-    metrics,
-    novel_existing_breakdown,
-)
+from .errors import ConfigError, DegenerateLabels, LexError, StructureError
+from .evaluate import EvaluationReport, run_release_pairs
 
 DEFAULT_BINS = 10
 
@@ -139,15 +135,19 @@ class ClassifierConfig:
     iterations: int = 300
     l2: float = 1e-3
     threshold: float = 0.5
-    seed: int = 0
 
     def validate(self) -> None:
+        for name in ("learning_rate", "l2", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError("threshold must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -183,46 +183,31 @@ def train_classifier(
     names = sorted({name for fv, _ in features for name in fv.values})
     n, d = len(features), len(names)
     index = {name: j for j, name in enumerate(names)}
-    x = [[0.0] * d for _ in range(n)]
-    y = [1.0 if label else 0.0 for _, label in features]
+    x = np.zeros((n, d))
+    y = np.array([1.0 if label else 0.0 for _, label in features])
     for i, (fv, _) in enumerate(features):
         for name, value in fv.values.items():
-            x[i][index[name]] = value
-    mean = [sum(row[j] for row in x) / n for j in range(d)]
-    std = []
-    for j in range(d):
-        var = sum((row[j] - mean[j]) ** 2 for row in x) / n
-        std.append(math.sqrt(var) if var > 0 else 1.0)
-    for row in x:
-        for j in range(d):
-            row[j] = (row[j] - mean[j]) / std[j]
+            x[i, index[name]] = value
+    mean = x.mean(axis=0)
+    var = ((x - mean) ** 2).mean(axis=0)
+    std = np.where(var > 0, np.sqrt(var), 1.0)
+    x = (x - mean) / std
 
-    w = [0.0] * d
+    w = np.zeros(d)
     b = 0.0
     for _ in range(cfg.iterations):
-        gw = [cfg.l2 * 2.0 * w[j] for j in range(d)]
-        gb = 0.0
-        for i, row in enumerate(x):
-            z = b + sum(w[j] * row[j] for j in range(d))
-            if z >= 0:
-                p = 1.0 / (1.0 + math.exp(-z))
-            else:
-                ez = math.exp(z)
-                p = ez / (1.0 + ez)
-            err = (p - y[i]) / n
-            gb += err
-            for j in range(d):
-                gw[j] += err * row[j]
-        for j in range(d):
-            w[j] -= cfg.learning_rate * gw[j]
-        b -= cfg.learning_rate * gb
+        z = b + x @ w
+        # overflow-safe sigmoid: exp only ever sees -|z|
+        ez = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        err = (p - y) / n
+        w = w - cfg.learning_rate * (cfg.l2 * 2.0 * w + err @ x)
+        b -= cfg.learning_rate * float(err.sum())
 
     # fold standardization: w_raw = w/std, bias absorbs the means
-    weights = {}
-    bias = b
-    for name, j in index.items():
-        weights[name] = w[j] / std[j]
-        bias -= w[j] * mean[j] / std[j]
+    raw = w / std
+    weights = {name: float(raw[j]) for name, j in index.items()}
+    bias = b - float(raw @ mean)
     return LinearClassifier(weights, bias, cfg.threshold)
 
 
@@ -251,59 +236,23 @@ def run_baseline(
     classifier_config: ClassifierConfig | None = None,
     bins: int = DEFAULT_BINS,
 ) -> list[EvaluationReport]:
-    """Release-pair protocol mirroring the translation-model experiment."""
-    if len(corpus.releases) < 2:
-        raise ConfigError("an experiment needs at least two releases")
+    """A classical technique through the release-pair protocol."""
     cfg = classifier_config if classifier_config is not None else ClassifierConfig()
-    reports: list[EvaluationReport] = []
-    for i in range(len(corpus.releases) - 1):
-        train_release = corpus.releases[i]
-        test_release = corpus.releases[i + 1]
-        try:
-            if setting is Setting.CLEAN:
-                material = clean_training_set(corpus, i)
-            else:
-                material = realistic_training_set(corpus, i)
-            training = [
-                (extract_features(c, technique, bins), True)
-                for c in material.fix_pairs
-            ] + [
-                (extract_features(c, technique, bins), False)
-                for c in material.non_vulnerable
-            ]
-            model = train_classifier(training, cfg)
-            predictions = [
-                BaselinePrediction(c.path, model.predict(extract_features(c, technique, bins)))
-                for c in test_release.components
-            ]
-            truth = {c.path: c.label for c in test_release.components}
-            cm = confusion(predictions, truth)
-            m = metrics(cm)
-            existing, novel = novel_existing_breakdown(
-                predictions, test_release, train_release
-            )
-            reports.append(
-                EvaluationReport(
-                    train_release=train_release.name,
-                    test_release=test_release.name,
-                    setting=setting,
-                    matrix=cm,
-                    precision=m.precision,
-                    recall=m.recall,
-                    f_measure=m.f_measure,
-                    mcc=m.mcc,
-                    existing_detected_pct=existing,
-                    novel_detected_pct=novel,
-                )
-            )
-        except VulnseqError as exc:
-            reports.append(
-                EvaluationReport(
-                    train_release=train_release.name,
-                    test_release=test_release.name,
-                    setting=setting,
-                    failed=True,
-                    error=str(exc),
-                )
-            )
-    return reports
+    cfg.validate()
+    if bins < 1:
+        raise ConfigError("bins must be >= 1")
+
+    def fit_predict(material, test_release):
+        training = [
+            (extract_features(c, technique, bins), True) for c in material.fix_pairs
+        ] + [
+            (extract_features(c, technique, bins), False)
+            for c in material.non_vulnerable
+        ]
+        model = train_classifier(training, cfg)
+        return [
+            BaselinePrediction(c.path, model.predict(extract_features(c, technique, bins)))
+            for c in test_release.components
+        ]
+
+    return run_release_pairs(corpus, setting, fit_predict)

@@ -26,17 +26,10 @@ from dataclasses import dataclass, fields
 
 from .abstraction import SeqRole, SequenceMeta, abstract_function, to_sequences
 from .baselines import ClassifierConfig, Technique, run_baseline
-from .corpus import (
-    Corpus,
-    TrainingMaterial,
-    clean_training_set,
-    load_corpus,
-    realistic_training_set,
-    save_corpus,
-)
+from .corpus import Corpus, Setting, load_corpus, save_corpus, training_material
 from .cparse import extract_functions, tokenize
 from .errors import ConfigError, EmptyFunction, VulnseqError
-from .evaluate import Setting, reports_to_csv, reports_to_jsonl, run_experiment, summarize
+from .evaluate import reports_to_csv, reports_to_jsonl, run_experiment, summarize
 from .fileio import atomic_write_text
 from .pairing import PairingConfig, build_training_pairs, labeled_functions_from_material
 from .predict import predict_release
@@ -99,8 +92,6 @@ class RunConfig:
     profile: str
     model: ModelConfig
     pairing: PairingConfig
-    input_path: str | None = None
-    output_path: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,20 +196,7 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
     pairing = PairingConfig(non_vuln_ratio=float(ratio), seed=seed)
     if pairing.non_vuln_ratio <= 0:
         raise ConfigError("ratio must be positive")
-    return RunConfig(
-        seed=seed,
-        profile=profile,
-        model=model,
-        pairing=pairing,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-    )
-
-
-def _material(corpus: Corpus, release: int, setting: Setting) -> TrainingMaterial:
-    if setting is Setting.CLEAN:
-        return clean_training_set(corpus, release)
-    return realistic_training_set(corpus, release)
+    return RunConfig(seed=seed, profile=profile, model=model, pairing=pairing)
 
 
 def _release(corpus: Corpus, index: int):
@@ -308,7 +286,7 @@ def cmd_dump_tokens(args: argparse.Namespace) -> int:
 def cmd_pair(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.input)
     setting = _SETTINGS[args.setting]
-    material = _material(corpus, args.release, setting)
+    material = training_material(corpus, args.release, setting)
     labeled = labeled_functions_from_material(material)
     pairing = PairingConfig(non_vuln_ratio=args.ratio, seed=args.seed)
     pairs = build_training_pairs(labeled, pairing)
@@ -339,7 +317,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
     corpus = _load_corpus(args.input)
     setting = _SETTINGS[args.setting]
-    material = _material(corpus, args.release, setting)
+    material = training_material(corpus, args.release, setting)
     labeled = labeled_functions_from_material(material)
     pairs = build_training_pairs(labeled, rc.pairing)
     train_pairs, validation = split_holdout(pairs, args.holdout, seed=rc.seed)
@@ -398,7 +376,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         l2=args.l2,
         threshold=args.threshold,
-        seed=args.seed,
     )
     reports = run_baseline(corpus, technique, setting, classifier, bins=args.bins)
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
@@ -531,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=1.0, help="classifier learning rate")
     p.add_argument("--l2", type=float, default=1e-3, help="L2 penalty")
     p.add_argument("--threshold", type=float, default=0.5, help="decision threshold (strictly greater)")
-    p.add_argument("--seed", type=int, default=0, help="classifier seed")
     _add_output_flag(p)
 
     return parser

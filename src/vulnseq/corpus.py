@@ -11,12 +11,22 @@ from __future__ import annotations
 import datetime
 import enum
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, IntegrityError, ParseError, VersionError
 from .fileio import atomic_write_text
 
 FORMAT_VERSION = 1
+
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+class Setting(enum.Enum):
+    """What a model may know when it trains on a release (see training_material)."""
+
+    CLEAN = "Clean"
+    REALISTIC = "Realistic"
 
 
 class Label(enum.Enum):
@@ -162,8 +172,12 @@ def load_corpus(path: str) -> Corpus:
     release_rows: list[tuple[str, datetime.date]] = []
     comp_rows: dict[str, list[ComponentRecord]] = {}
     vuln_rows: list[VulnerabilityRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so each is caught on its
+    # line; isascii() skips the scan for the common all-ASCII line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise ParseError("not valid UTF-8", line_no)
             if not line.strip():
                 continue
             try:
@@ -362,3 +376,12 @@ def realistic_training_set(
     return TrainingMaterial(
         release.name, tuple(fix_pairs), tuple(treated_non_vulnerable)
     )
+
+
+def training_material(
+    corpus: Corpus, release_index: int, setting: Setting
+) -> TrainingMaterial:
+    """Training view of one release under a setting: the clean or realistic split."""
+    if setting is Setting.CLEAN:
+        return clean_training_set(corpus, release_index)
+    return realistic_training_set(corpus, release_index)

@@ -2,38 +2,28 @@
 
 Experiments walk consecutive release pairs: train on release i under the
 chosen setting, predict release i+1, score against full-hindsight labels.
-A pair that cannot train (for instance a realistic setting whose
-vulnerabilities were all detected too late) produces a failed report row
-rather than aborting the run.
+The sequence model (run_experiment) and the classical baselines
+(baselines.run_baseline) share that walk, run_release_pairs. A pair that
+cannot train (for instance a realistic setting whose vulnerabilities were
+all detected too late) produces a failed report row rather than aborting
+the run.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
-from .corpus import (
-    Corpus,
-    Label,
-    Release,
-    clean_training_set,
-    realistic_training_set,
-)
+from .corpus import Corpus, Label, Release, Setting, TrainingMaterial, training_material
 from .errors import ConfigError, MissingLabel, VulnseqError
 from .pairing import PairingConfig, build_training_pairs, labeled_functions_from_material
-from .predict import ComponentVerdict, predict_release
+from .predict import predict_release
 from .seq2seq import ModelConfig, split_holdout, train
-
-
-class Setting(enum.Enum):
-    CLEAN = "Clean"
-    REALISTIC = "Realistic"
 
 
 class PredictionLike(Protocol):
@@ -116,10 +106,6 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     return Metrics(precision, recall, f_measure, mcc)
 
 
-def _truth(release: Release) -> dict[str, Label]:
-    return {c.path: c.label for c in release.components}
-
-
 def novel_existing_breakdown(
     verdicts: Iterable[PredictionLike], test_release: Release, train_release: Release
 ) -> tuple[float | None, float | None]:
@@ -146,12 +132,17 @@ def novel_existing_breakdown(
     return existing, novel
 
 
-def run_experiment(
+def run_release_pairs(
     corpus: Corpus,
     setting: Setting,
-    model_config: ModelConfig,
-    pairing_config: PairingConfig,
+    fit_predict: Callable[[TrainingMaterial, Release], list[PredictionLike]],
 ) -> list[EvaluationReport]:
+    """The release-pair protocol shared by every technique.
+
+    For each consecutive pair (i, i+1), fit_predict receives release i's
+    training material under the setting and returns its predictions for
+    release i+1, which are scored against that release's labels.
+    """
     if len(corpus.releases) < 2:
         raise ConfigError("an experiment needs at least two releases")
     reports: list[EvaluationReport] = []
@@ -159,21 +150,14 @@ def run_experiment(
         train_release = corpus.releases[i]
         test_release = corpus.releases[i + 1]
         try:
-            if setting is Setting.CLEAN:
-                material = clean_training_set(corpus, i)
-            else:
-                material = realistic_training_set(corpus, i)
-            labeled = labeled_functions_from_material(material)
-            pairs = build_training_pairs(labeled, pairing_config)
-            train_pairs, validation = split_holdout(
-                pairs, 0.1, seed=model_config.seed
+            predictions = fit_predict(
+                training_material(corpus, i, setting), test_release
             )
-            model = train(train_pairs, validation, model_config)
-            verdicts = predict_release(model, test_release)
-            cm = confusion(verdicts, _truth(test_release))
+            truth = {c.path: c.label for c in test_release.components}
+            cm = confusion(predictions, truth)
             m = metrics(cm)
             existing, novel = novel_existing_breakdown(
-                verdicts, test_release, train_release
+                predictions, test_release, train_release
             )
             reports.append(
                 EvaluationReport(
@@ -200,6 +184,24 @@ def run_experiment(
                 )
             )
     return reports
+
+
+def run_experiment(
+    corpus: Corpus,
+    setting: Setting,
+    model_config: ModelConfig,
+    pairing_config: PairingConfig,
+) -> list[EvaluationReport]:
+    """The sequence model through the release-pair protocol."""
+
+    def fit_predict(material, test_release):
+        labeled = labeled_functions_from_material(material)
+        pairs = build_training_pairs(labeled, pairing_config)
+        train_pairs, validation = split_holdout(pairs, 0.1, seed=model_config.seed)
+        model = train(train_pairs, validation, model_config)
+        return predict_release(model, test_release)
+
+    return run_release_pairs(corpus, setting, fit_predict)
 
 
 _SUMMARY_FIELDS = (

@@ -1,6 +1,9 @@
 """Classical per-component classifiers: features, training, experiment runs."""
 
+import dataclasses
+import datetime
 import json
+import math
 
 import pytest
 
@@ -19,7 +22,7 @@ from vulnseq.baselines import (
     token_frequencies,
     train_classifier,
 )
-from vulnseq.corpus import ComponentRecord, Label
+from vulnseq.corpus import ComponentRecord, Label, VulnerabilityRecord, clean_training_set
 from vulnseq.errors import ConfigError, DegenerateLabels
 from vulnseq.evaluate import Setting, report_to_dict
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
@@ -194,13 +197,102 @@ def test_single_class_training_is_rejected():
         train_classifier([], ClassifierConfig())
 
 
+BAD_CLASSIFIER_CONFIGS = [
+    ClassifierConfig(learning_rate=0.0),
+    ClassifierConfig(iterations=-1),
+    ClassifierConfig(l2=-0.1),
+    ClassifierConfig(threshold=7.0),
+    ClassifierConfig(threshold=-0.1),
+    ClassifierConfig(learning_rate=float("nan")),
+    ClassifierConfig(l2=float("inf")),
+    ClassifierConfig(threshold=float("nan")),
+]
+
+
 def test_classifier_config_validation():
-    with pytest.raises(ConfigError):
-        train_classifier(_toy_features(), ClassifierConfig(learning_rate=0.0))
-    with pytest.raises(ConfigError):
-        train_classifier(_toy_features(), ClassifierConfig(iterations=-1))
-    with pytest.raises(ConfigError):
-        train_classifier(_toy_features(), ClassifierConfig(l2=-0.1))
+    for cfg in BAD_CLASSIFIER_CONFIGS:
+        with pytest.raises(ConfigError):
+            train_classifier(_toy_features(), cfg)
+
+
+def test_threshold_bounds_are_inclusive():
+    ClassifierConfig(threshold=0.0).validate()
+    ClassifierConfig(threshold=1.0).validate()
+
+
+# --- reference classifier -----------------------------------------------
+
+
+def _reference_train_classifier(features, cfg):
+    """The pure-Python loop train_classifier replaced, kept as the oracle."""
+    names = sorted({name for fv, _ in features for name in fv.values})
+    n, d = len(features), len(names)
+    index = {name: j for j, name in enumerate(names)}
+    x = [[0.0] * d for _ in range(n)]
+    y = [1.0 if label else 0.0 for _, label in features]
+    for i, (fv, _) in enumerate(features):
+        for name, value in fv.values.items():
+            x[i][index[name]] = value
+    mean = [sum(row[j] for row in x) / n for j in range(d)]
+    std = []
+    for j in range(d):
+        var = sum((row[j] - mean[j]) ** 2 for row in x) / n
+        std.append(math.sqrt(var) if var > 0 else 1.0)
+    for row in x:
+        for j in range(d):
+            row[j] = (row[j] - mean[j]) / std[j]
+
+    w = [0.0] * d
+    b = 0.0
+    for _ in range(cfg.iterations):
+        gw = [cfg.l2 * 2.0 * w[j] for j in range(d)]
+        gb = 0.0
+        for i, row in enumerate(x):
+            z = b + sum(w[j] * row[j] for j in range(d))
+            if z >= 0:
+                p = 1.0 / (1.0 + math.exp(-z))
+            else:
+                ez = math.exp(z)
+                p = ez / (1.0 + ez)
+            err = (p - y[i]) / n
+            gb += err
+            for j in range(d):
+                gw[j] += err * row[j]
+        for j in range(d):
+            w[j] -= cfg.learning_rate * gw[j]
+        b -= cfg.learning_rate * gb
+
+    weights = {}
+    bias = b
+    for name, j in index.items():
+        weights[name] = w[j] / std[j]
+        bias -= w[j] * mean[j] / std[j]
+    return LinearClassifier(weights, bias, cfg.threshold)
+
+
+def _assert_same_classifier(rows, cfg):
+    got = train_classifier(rows, cfg)
+    want = _reference_train_classifier(rows, cfg)
+    assert got.bias == pytest.approx(want.bias, rel=1e-9, abs=1e-12)
+    assert got.weights.keys() == want.weights.keys()
+    for name, value in want.weights.items():
+        assert got.weights[name] == pytest.approx(value, rel=1e-9, abs=1e-12), name
+    assert [got.predict(fv) for fv, _ in rows] == [want.predict(fv) for fv, _ in rows]
+
+
+def test_classifier_matches_reference_loop_on_toy_set():
+    for cfg in (ClassifierConfig(), ClassifierConfig(iterations=50, l2=0.0)):
+        _assert_same_classifier(_toy_features(), cfg)
+
+
+@pytest.mark.parametrize("technique", list(Technique))
+def test_classifier_matches_reference_loop_on_synthetic_features(technique):
+    corpus = generate_synthetic_corpus(3, SynthesisSpec(n_releases=2, components_per_release=12))
+    material = clean_training_set(corpus, 0)
+    rows = [(extract_features(c, technique), True) for c in material.fix_pairs] + [
+        (extract_features(c, technique), False) for c in material.non_vulnerable
+    ]
+    _assert_same_classifier(rows, ClassifierConfig(iterations=100))
 
 
 # --- experiment runs ----------------------------------------------------
@@ -258,8 +350,6 @@ def test_realistic_setting_runs_for_baselines(synth_corpus):
 
 
 def test_baseline_requires_two_releases(synth_corpus):
-    import dataclasses
-
     single = dataclasses.replace(synth_corpus, releases=synth_corpus.releases[:1])
     with pytest.raises(ConfigError):
         run_baseline(single, Technique.TEXT_MINING, Setting.CLEAN)
@@ -269,3 +359,37 @@ def test_baseline_predictions_are_plain_records():
     p = BaselinePrediction("a.c", True)
     assert p.path == "a.c"
     assert p.predicted_vulnerable is True
+
+
+def test_late_detections_give_failed_baseline_rows(synth_corpus):
+    # realistic training on release i knows nothing detected on or after
+    # release i+1's date, so with every detection late no training
+    # component is vulnerable and every pair fails instead of raising
+    late = tuple(
+        VulnerabilityRecord(v.vuln_id, datetime.date(2999, 1, 1), v.affected_paths)
+        for v in synth_corpus.vulnerabilities
+    )
+    corpus = dataclasses.replace(synth_corpus, vulnerabilities=late)
+    reports = run_baseline(corpus, Technique.TEXT_MINING, Setting.REALISTIC)
+    assert len(reports) == len(corpus.releases) - 1
+    for i, report in enumerate(reports):
+        assert report.failed
+        assert report.error
+        assert report.matrix is None
+        assert report.mcc is None
+        assert report.train_release == corpus.releases[i].name
+        assert report.setting is Setting.REALISTIC
+
+
+@pytest.mark.parametrize(
+    "cfg,bins",
+    [(ClassifierConfig(), 0)] + [(cfg, 10) for cfg in BAD_CLASSIFIER_CONFIGS],
+)
+def test_bad_settings_are_rejected_before_any_pair(synth_corpus, monkeypatch, cfg, bins):
+    def walked(*args, **kwargs):
+        raise AssertionError("a release pair was walked")
+
+    monkeypatch.setattr("vulnseq.baselines.extract_features", walked)
+    for technique in (Technique.TEXT_MINING, Technique.IMPORTS):
+        with pytest.raises(ConfigError):
+            run_baseline(synth_corpus, technique, Setting.CLEAN, cfg, bins=bins)

@@ -197,6 +197,34 @@ def test_non_utf8_source_exits_one_naming_the_file(command, tmp_path, capsys):
     assert str(src) in err
 
 
+def test_non_utf8_corpus_exits_one_with_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'\xff\xfe{"kind": "header", "format_version": 1}\n')
+    assert main(["ingest", "-i", str(bad), "-o", str(tmp_path / "out.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: not valid UTF-8")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bins", "0"],
+        ["--learning-rate", "0"],
+        ["--iterations", "-3"],
+        ["--threshold", "7"],
+        ["--learning-rate", "nan"],
+    ],
+)
+def test_bad_baseline_settings_exit_one(flags, corpus_file, tmp_path, capsys):
+    out = tmp_path / "base.jsonl"
+    code = main(["baseline", "-i", str(corpus_file), "--technique", "textmining",
+                 *flags, "-o", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_jobs_below_one_is_rejected(command, corpus_file, tmp_path, capsys):
     args = {

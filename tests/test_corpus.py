@@ -10,6 +10,7 @@ from vulnseq.corpus import (
     Corpus,
     Label,
     Release,
+    Setting,
     TrainingMaterial,
     VulnerabilityRecord,
     clean_training_set,
@@ -17,6 +18,7 @@ from vulnseq.corpus import (
     load_corpus,
     realistic_training_set,
     save_corpus,
+    training_material,
 )
 from vulnseq.errors import ConfigError, IntegrityError, ParseError, VersionError
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
@@ -93,6 +95,29 @@ def test_parse_error_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_corpus(_write(tmp_path, text))
     assert str(len(MINIMAL.splitlines()) + 1) in str(err.value)
+
+
+def test_invalid_utf8_is_a_parse_error_with_its_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    lines = MINIMAL.encode("utf-8").splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:3]) + b"\xff\xfe" + b"".join(lines[3:]))
+    with pytest.raises(ParseError) as err:
+        load_corpus(str(path))
+    assert err.value.line == 4
+    assert "not valid UTF-8" in str(err.value)
+
+
+def test_non_ascii_source_loads(tmp_path):
+    text = MINIMAL.replace("return 0;", "return 0; /* caf\u00e9 \u2028 */")
+    corpus = load_corpus(_write(tmp_path, text))
+    assert "caf\u00e9 \u2028" in corpus.releases[0].components[1].source
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_other_line_endings_load(tmp_path, newline):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(MINIMAL.replace("\n", newline).encode("utf-8"))
+    assert load_corpus(str(path)) == load_corpus(_write(tmp_path, MINIMAL, "lf.jsonl"))
 
 
 def test_duplicate_path_rejected(tmp_path):
@@ -251,6 +276,17 @@ def test_include_unfixed_flag():
     # omitted entirely, not recast as non-vulnerable
     assert "a.c" not in {c.path for c in dropped.non_vulnerable}
     assert realistic_training_set(corpus, 0, include_unfixed=False).fix_pairs == ()
+
+
+def test_training_material_dispatches_on_setting():
+    corpus = generate_synthetic_corpus(
+        5, SynthesisSpec(n_releases=3, components_per_release=12, detection_lag_days=120)
+    )
+    for i in range(len(corpus.releases) - 1):
+        assert training_material(corpus, i, Setting.CLEAN) == clean_training_set(corpus, i)
+        assert training_material(corpus, i, Setting.REALISTIC) == realistic_training_set(
+            corpus, i
+        )
 
 
 def test_material_is_plain_data():
