@@ -125,6 +125,11 @@ def _load_corpus(path: str) -> Corpus:
         return load_corpus(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except VulnseqError as exc:
+        # ParseError, IntegrityError or VersionError: keep the type, and
+        # name the file as the message of every input error does
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _load_model(path: str):

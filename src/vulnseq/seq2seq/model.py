@@ -112,27 +112,68 @@ def check_parameter_shapes(model: Seq2SeqModel) -> None:
             )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _lstm_forward(Z, h, c, U, mask=None, trace=None):
+    """Run an LSTM layer over precomputed input projections.
+
+    Z (..., T, B, 4n) holds x·W + b for each of T steps; leading axes stack
+    independent layers that run in lockstep, with U (..., n, 4n) stacked to
+    match. Each step adds h·U and overwrites its slot of Z with the gate
+    activations (i, f, g, o), taking sigmoid(z) as 0.5·(1 + tanh(z/2)) so
+    that one tanh covers all four gates. mask (..., T, B, 1) of bools keeps
+    a row's previous state at its False steps. With trace = (Hs, Cs, TC),
+    Hs and Cs (..., T + 1, B, n) receive the states before and after every
+    step and TC (..., T, B, n) tanh of each step's new cell state: what
+    backpropagation reads. Returns the final (h, c).
+    """
+    n = U.shape[-2]
+    # full-shape factors: a broadcast row would cost numpy more per call
+    a = np.full(h.shape[:-1] + (4 * n,), 0.5)
+    a[..., 2 * n : 3 * n] = 1.0
+    shift = 1.0 - a
+    keep = None if mask is None else ~mask
+    if trace is not None:
+        Hs, Cs, TC = trace
+        Hs[..., 0, :, :] = h
+        Cs[..., 0, :, :] = c
+    h_out = c_out = tc_out = None
+    for t in range(Z.shape[-3]):
+        z = Z[..., t, :, :]
+        z += h @ U
+        z *= a
+        np.tanh(z, out=z)
+        z *= a
+        z += shift
+        if trace is not None:
+            h_out, c_out = Hs[..., t + 1, :, :], Cs[..., t + 1, :, :]
+            tc_out = TC[..., t, :, :]
+        c_new = np.multiply(z[..., n : 2 * n], c, out=c_out)
+        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
+        h_new = np.multiply(z[..., 3 * n :], np.tanh(c_new, out=tc_out), out=h_out)
+        if keep is not None:
+            np.copyto(h_new, h, where=keep[..., t, :, :])
+            np.copyto(c_new, c, where=keep[..., t, :, :])
+        h, c = h_new, c_new
+    return h, c
+
+
+def _project(X, W, b):
+    """x·W + b for all steps at once: X (..., T, B, d) -> (..., T, B, 4n)."""
+    Z = X.reshape(X.shape[:-3] + (-1, X.shape[-1])) @ W
+    Z += b[..., None, :]
+    return Z.reshape(X.shape[:-1] + (W.shape[-1],))
+
+
+def _new_trace(Z):
+    """Empty (Hs, Cs, TC) for an _lstm_forward run over Z."""
+    *lead, steps, rows, width = Z.shape
+    n = width // 4
+    states = (*lead, steps + 1, rows, n)
+    return np.empty(states), np.empty(states), np.empty((*lead, steps, rows, n))
 
 
 def _lstm_step(x, h, c, W, U, b):
-    """One batched step. Returns (h', c', gate cache for backprop)."""
-    n = W.shape[1] // 4
-    z = x @ W + h @ U + b
-    i = _sigmoid(z[:, :n])
-    f = _sigmoid(z[:, n : 2 * n])
-    g = np.tanh(z[:, 2 * n : 3 * n])
-    o = _sigmoid(z[:, 3 * n :])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new, (i, f, g, o)
+    """One batched step. Returns (h', c')."""
+    return _lstm_forward((x @ W + b)[None], h, c, U)
 
 
 def recurrent_cell(x, h, c, params):
@@ -148,65 +189,73 @@ def recurrent_cell(x, h, c, params):
         )
     if h.shape != (n,) or c.shape != (n,):
         raise ShapeError(f"state must have shape ({n},)")
-    h_new, c_new, _ = _lstm_step(x[None, :], h[None, :], c[None, :], W, U, b)
+    h_new, c_new = _lstm_step(x[None, :], h[None, :], c[None, :], W, U, b)
     return h_new[0], c_new[0]
 
 
+def _encoder_weights(p):
+    """The encoder's W, U and b with the two directions stacked on axis 0."""
+    return tuple(np.stack([p[f"enc_fwd_{k}"], p[f"enc_bwd_{k}"]]) for k in "WUb")
+
+
+def _encoder_steps(ids: np.ndarray, mask: np.ndarray):
+    """Step ids (2, T, B) and bool masks (2, T, B, 1) of the stacked encoder.
+
+    ids and mask are right-padded (B, T) batches. Direction 0 reads each
+    row forward and direction 1 backward, so its step s reads position
+    T-1-s; both then run as one recurrence.
+    """
+    ids, mask = ids.T, mask.T > 0
+    return np.stack([ids, ids[::-1]]), np.stack([mask, mask[::-1]])[..., None]
+
+
+def _bridge(p, h_cat, c_cat):
+    """Decoder initial states from the concatenated final encoder states."""
+    return [
+        (
+            np.tanh(h_cat @ p[f"bridge_h{layer}_W"] + p[f"bridge_h{layer}_b"]),
+            np.tanh(c_cat @ p[f"bridge_c{layer}_W"] + p[f"bridge_c{layer}_b"]),
+        )
+        for layer in range(2)
+    ]
+
+
+# Steps per input projection when encoding for inference. Training keeps
+# every step's projection for backprop; here a bounded buffer keeps the
+# peak memory of a large batch flat however long its inputs are.
+ENCODE_CHUNK_STEPS = 4
+
+
 def _encode_batch(
-    model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray, states_only: bool = False
+    model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray, outputs: bool = False
 ):
     """Run the bidirectional encoder over a right-padded id batch.
 
     Masked positions keep the previous state, so trailing padding never
-    leaks into the final states. Returns outputs (B,T,2H), the bridged
-    decoder initial states, and the cache needed for backprop; with
-    states_only the outputs and the cache are None.
+    leaks into the final states. Returns the per-position outputs
+    (B,T,2H), or None unless asked for, and the bridged decoder initial
+    states.
     """
     p = model.params
-    B, T = ids.shape
     H = model.config.hidden_units
-    X = p["embedding"][ids]  # (B,T,D)
-
-    states = {}
-    caches = {"fwd": [], "bwd": []}
-    outputs = None if states_only else np.zeros((B, T, 2 * H))
-    for direction, order in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
-        W, U, b = p[f"enc_{direction}_W"], p[f"enc_{direction}_U"], p[f"enc_{direction}_b"]
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        for t in order:
-            m = mask[:, t : t + 1]
-            h_new, c_new, gates = _lstm_step(X[:, t], h, c, W, U, b)
-            if not states_only:
-                caches[direction].append((t, X[:, t], h, c, gates, c_new, m))
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-            if not states_only:
-                half = slice(0, H) if direction == "fwd" else slice(H, 2 * H)
-                outputs[:, t, half] = h
-        states[direction] = (h, c)
-
-    h_cat = np.concatenate([states["fwd"][0], states["bwd"][0]], axis=1)
-    c_cat = np.concatenate([states["fwd"][1], states["bwd"][1]], axis=1)
-    init = []
-    bridge_cache = []
-    for layer in range(model.config.decoder_layers):
-        h0 = np.tanh(h_cat @ p[f"bridge_h{layer}_W"] + p[f"bridge_h{layer}_b"])
-        c0 = np.tanh(c_cat @ p[f"bridge_c{layer}_W"] + p[f"bridge_c{layer}_b"])
-        init.append((h0, c0))
-        bridge_cache.append((h0, c0))
-    if states_only:
-        return None, init, None
-    cache = {
-        "ids": ids,
-        "mask": mask,
-        "X": X,
-        "steps": caches,
-        "h_cat": h_cat,
-        "c_cat": c_cat,
-        "bridge": bridge_cache,
-    }
-    return outputs, init, cache
+    steps, step_mask = _encoder_steps(ids, mask)
+    W, U, b = _encoder_weights(p)
+    h = c = np.zeros((2, ids.shape[0], H))
+    out = []
+    for start in range(0, steps.shape[1], ENCODE_CHUNK_STEPS):
+        chunk = slice(start, start + ENCODE_CHUNK_STEPS)
+        Z = _project(p["embedding"][steps[:, chunk]], W, b)
+        trace = _new_trace(Z) if outputs else None
+        h, c = _lstm_forward(Z, h, c, U, step_mask[:, chunk], trace)
+        if outputs:
+            out.append(trace[0][:, 1:])
+        del Z, trace
+    init = _bridge(p, np.concatenate(h, axis=1), np.concatenate(c, axis=1))
+    if not outputs:
+        return None, init
+    Hs = np.concatenate(out, axis=1)
+    # direction 1's step s is position T-1-s, so its outputs run reversed
+    return np.concatenate([Hs[0], Hs[1, ::-1]], axis=2).transpose(1, 0, 2), init
 
 
 def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
@@ -222,7 +271,7 @@ def encode(input_ids: list[int], model: Seq2SeqModel):
     _check_input_ids(input_ids, model.vocabulary.size())
     ids = np.asarray([input_ids], dtype=np.int64)
     mask = np.ones_like(ids, dtype=np.float64)
-    outputs, init, _ = _encode_batch(model, ids, mask)
+    outputs, init = _encode_batch(model, ids, mask, outputs=True)
     return outputs[0], [(h[0], c[0]) for h, c in init]
 
 
@@ -236,8 +285,8 @@ def _decoder_step(model: Seq2SeqModel, token_id: int, state):
     p = model.params
     x = p["embedding"][token_id][None, :]
     (h0, c0), (h1, c1) = state
-    h0n, c0n, _ = _lstm_step(x, h0[None, :], c0[None, :], p["dec0_W"], p["dec0_U"], p["dec0_b"])
-    h1n, c1n, _ = _lstm_step(h0n, h1[None, :], c1[None, :], p["dec1_W"], p["dec1_U"], p["dec1_b"])
+    h0n, c0n = _lstm_step(x, h0[None, :], c0[None, :], p["dec0_W"], p["dec0_U"], p["dec0_b"])
+    h1n, c1n = _lstm_step(h0n, h1[None, :], c1[None, :], p["dec1_W"], p["dec1_U"], p["dec1_b"])
     logits = h1n @ p["out_W"] + p["out_b"]
     return logits[0], [(h0n[0], c0n[0]), (h1n[0], c1n[0])]
 
@@ -313,7 +362,7 @@ def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
     for b, seq in enumerate(inputs):
         ids[b, : len(seq)] = seq
         mask[b, : len(seq)] = 1.0
-    _, init, _ = _encode_batch(model, ids, mask, states_only=True)
+    _, init = _encode_batch(model, ids, mask)
 
     # want[b, t] is the token greedy decoding must emit at step t, or -1
     # once row b has stopped; a target of the full cap length has no EOS.
@@ -333,8 +382,8 @@ def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
     hit = np.ones(n, dtype=bool)
     for t in range(steps):
         x = p["embedding"][dec_in[:, t]]
-        h0, c0, _ = _lstm_step(x, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
-        h1, c1, _ = _lstm_step(h0, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
+        h0, c0 = _lstm_step(x, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
+        h1, c1 = _lstm_step(h0, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
         token = np.argmax(softmax(h1 @ p["out_W"] + p["out_b"]), axis=1)
         hit &= (want[:, t] < 0) | (token == want[:, t])
         if not hit.any():

@@ -18,8 +18,12 @@ from ..pairing import TrainingPair
 from .model import (
     ModelConfig,
     Seq2SeqModel,
-    _encode_batch,
-    _lstm_step,
+    _bridge,
+    _encoder_steps,
+    _encoder_weights,
+    _lstm_forward,
+    _new_trace,
+    _project,
     greedy_reproduces,
     init_model,
 )
@@ -61,130 +65,206 @@ def _arrays(batch: list[TrainingPair], vocab: Vocabulary):
     return enc_ids, enc_mask, dec_in, dec_tgt, dec_mask
 
 
-def _cell_backward(x, h_prev, c_prev, gates, c_new, dh, dc, W, U):
-    i, f, g, o = gates
-    tc = np.tanh(c_new)
-    do = dh * tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-    dz = np.concatenate(
-        [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
-        axis=1,
-    )
-    dW = x.T @ dz
-    dU = h_prev.T @ dz
-    db = dz.sum(axis=0)
-    dx = dz @ W.T
-    dh_prev = dz @ U.T
-    return dx, dh_prev, dc_prev, dW, dU, db
+def _lstm_backward(Z, trace, U, dh, dc, dH=None, mask=None):
+    """Backpropagate through an _lstm_forward run from the gates it left in Z.
+
+    dh and dc are the loss gradients at the final state; dH (..., T, B, n),
+    if given, holds those reaching each step's hidden state from outside
+    the layer. Each step's slot of Z ends up holding that step's
+    pre-activation gradient dz, so the caller forms the weight gradients
+    after the loop. The trace is consumed. Returns the gradients at the
+    initial state.
+    """
+    _, Cs, TC = trace
+    n = U.shape[-2]
+    # Everything in dz that does not depend on dh or dc is computed for all
+    # steps at once, in the buffers it replaces: Z's gate slots take
+    #   [g·i(1-i), c_prev·f(1-f), i(1-g²), tanh(c)·o(1-o)],
+    # the first three scaled in the loop by the cell-state gradient dct and
+    # the last by dh; TC takes o(1 - tanh²(c)), dct's factor on dh; and the
+    # c_prev slots of Cs take f, which carries dct back to c_prev.
+    gates = Z.reshape(Z.shape[:-1] + (4, n))
+    i, f, g, o = (gates[..., k, :] for k in range(4))
+    c_prev = Cs[..., :-1, :, :]
+    tmp = 1.0 - o
+    tmp *= o
+    tmp *= TC  # tanh(c)·o(1-o)
+    np.multiply(TC, TC, out=TC)
+    np.subtract(1.0, TC, out=TC)
+    TC *= o  # o(1 - tanh²(c))
+    o[...] = tmp
+    np.subtract(1.0, f, out=tmp)
+    tmp *= f
+    tmp *= c_prev  # c_prev·f(1-f)
+    c_prev[...] = f
+    f[...] = tmp
+    np.subtract(1.0, i, out=tmp)
+    tmp *= i
+    tmp *= g  # g·i(1-i)
+    g *= g
+    np.subtract(1.0, g, out=g)
+    g *= i  # i(1-g²)
+    i[...] = tmp
+    del tmp
+
+    UT = np.ascontiguousarray(np.swapaxes(U, -1, -2))
+    for t in range(Z.shape[-3] - 1, -1, -1):
+        if dH is not None:
+            dh = dh + dH[..., t, :, :]
+        dct = dh * TC[..., t, :, :]
+        dct += dc
+        z = gates[..., t, :, :, :]
+        z[..., :3, :] *= dct[..., None, :]
+        z[..., 3, :] *= dh
+        dc_prev = dct * Cs[..., t, :, :]
+        dz = Z[..., t, :, :]
+        if mask is None:
+            dh, dc = dz @ UT, dc_prev
+        else:
+            m = mask[..., t, :, :]
+            dz *= m
+            dh = np.where(m, dz @ UT, dh)
+            dc = np.where(m, dc_prev, dc)
+    return dh, dc
+
+
+def _flat(a):
+    """Merge the step and row axes: (..., T, B, k) -> (..., T*B, k)."""
+    return a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
+
+
+def _layer_grads(X, Hs, dZ, W):
+    """dW, dU, db and the input gradient of a layer, one GEMM or sum each.
+
+    X is the layer's input at every step, Hs its traced hidden states and
+    dZ the per-step pre-activation gradients left by _lstm_backward; the
+    input gradient comes back flat, (..., T*B, d).
+    """
+    dZ = _flat(dZ)
+    dW = np.swapaxes(_flat(X), -1, -2) @ dZ
+    dU = np.swapaxes(_flat(Hs[..., :-1, :, :]), -1, -2) @ dZ
+    return dW, dU, dZ.sum(axis=-2), dZ @ np.swapaxes(W, -1, -2)
 
 
 def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
-    """Full forward/backward over one batch. Returns (loss, grads)."""
+    """Full forward/backward over one batch. Returns (loss, grads).
+
+    Every layer projects its inputs for all steps with one GEMM before its
+    time loop, so the loops hold only h·U and the cell update; backward
+    defers each layer's weight gradients to one GEMM over its stacked dz.
+    Arrays are step-major, (T, B, ...).
+    """
     p = model.params
-    vocab = model.vocabulary
-    enc_ids, enc_mask, dec_in, dec_tgt, dec_mask = _arrays(batch, vocab)
-    n, t_out = dec_in.shape
+    enc_ids, enc_mask, dec_in, dec_tgt, dec_mask = _arrays(batch, model.vocabulary)
+    n = len(batch)
     h_units = model.config.hidden_units
+    grads: dict[str, np.ndarray] = {}
 
-    _, init, enc_cache = _encode_batch(model, enc_ids, enc_mask)
+    # ---- encoder forward: both directions as one stacked recurrence
+    enc_steps, enc_step_mask = _encoder_steps(enc_ids, enc_mask)
+    eW, eU, eb = _encoder_weights(p)
+    eX = p["embedding"][enc_steps]
+    eZ = _project(eX, eW, eb)
+    e_trace = _new_trace(eZ)
+    zeros = np.zeros((2, n, h_units))
+    h_fin, c_fin = _lstm_forward(eZ, zeros, zeros, eU, enc_step_mask, e_trace)
+    h_cat = np.concatenate(h_fin, axis=1)
+    c_cat = np.concatenate(c_fin, axis=1)
+    init = _bridge(p, h_cat, c_cat)
 
-    # ---- decoder forward (teacher forcing), caching per step
-    dec_caches = []
-    logits = np.zeros((n, t_out, vocab.size()))
-    (h0, c0), (h1, c1) = init
-    X_dec = p["embedding"][dec_in]
-    for t in range(t_out):
-        x0 = X_dec[:, t]
-        h0n, c0n, g0 = _lstm_step(x0, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
-        h1n, c1n, g1 = _lstm_step(h0n, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
-        logits[:, t] = h1n @ p["out_W"] + p["out_b"]
-        dec_caches.append((x0, h0, c0, g0, c0n, h0n, h1, c1, g1, c1n, h1n))
-        h0, c0, h1, c1 = h0n, c0n, h1n, c1n
+    # ---- decoder forward (teacher forcing): layer 0 never reads layer 1,
+    # so it runs over all steps first; layer 1's input projection and the
+    # logits are then one GEMM each
+    runs = []
+    x = p["embedding"][dec_in.T]
+    for k in range(2):
+        Z = _project(x, p[f"dec{k}_W"], p[f"dec{k}_b"])
+        trace = _new_trace(Z)
+        _lstm_forward(Z, *init[k], p[f"dec{k}_U"], trace=trace)
+        runs.append((x, Z, trace))
+        x = trace[0][1:]
+    del Z, trace
+    logits = x @ p["out_W"]
+    logits += p["out_b"]
 
     # ---- loss: mean over pairs of per-pair mean token cross-entropy
-    zmax = logits.max(axis=2, keepdims=True)
-    lse = zmax[:, :, 0] + np.log(np.exp(logits - zmax).sum(axis=2))
-    picked = np.take_along_axis(logits, dec_tgt[:, :, None], axis=2)[:, :, 0]
-    nll = (lse - picked) * dec_mask
-    per_pair = nll.sum(axis=1) / dec_mask.sum(axis=1)
+    tgt = dec_tgt.T[:, :, None]
+    mask = dec_mask.T
+    logits -= logits.max(axis=2, keepdims=True)
+    picked = np.take_along_axis(logits, tgt, axis=2)[:, :, 0]
+    probs = np.exp(logits, out=logits)
+    total = probs.sum(axis=2)
+    nll = (np.log(total) - picked) * mask
+    per_pair = nll.sum(axis=0) / mask.sum(axis=0)
     loss = float(per_pair.mean())
 
-    # ---- backward
-    grads = {k: np.zeros_like(v) for k, v in p.items()}
-    probs = np.exp(logits - lse[:, :, None])
-    weight = (dec_mask / dec_mask.sum(axis=1, keepdims=True)) / n
-    dlogits = probs * weight[:, :, None]
+    # ---- backward: the softmax buffer becomes dlogits in place
+    weight = mask / mask.sum(axis=0) / n
+    dlogits = probs
+    dlogits *= (weight / total)[:, :, None]
     np.put_along_axis(
         dlogits,
-        dec_tgt[:, :, None],
-        np.take_along_axis(dlogits, dec_tgt[:, :, None], axis=2) - weight[:, :, None],
+        tgt,
+        np.take_along_axis(dlogits, tgt, axis=2) - weight[:, :, None],
         axis=2,
     )
+    flat_dlogits = _flat(dlogits)
+    grads["out_W"] = _flat(x).T @ flat_dlogits
+    grads["out_b"] = flat_dlogits.sum(axis=0)
+    dx = dlogits @ p["out_W"].T
+    del logits, probs, dlogits, flat_dlogits
 
-    dh0 = np.zeros((n, h_units))
-    dc0 = np.zeros((n, h_units))
-    dh1 = np.zeros((n, h_units))
-    dc1 = np.zeros((n, h_units))
-    for t in range(t_out - 1, -1, -1):
-        x0, h0p, c0p, g0, c0n, h0n, h1p, c1p, g1, c1n, h1n = dec_caches[t]
-        dl = dlogits[:, t]
-        grads["out_W"] += h1n.T @ dl
-        grads["out_b"] += dl.sum(axis=0)
-        dh1 = dh1 + dl @ p["out_W"].T
-        dx1, dh1, dc1, dW, dU, db = _cell_backward(
-            h0n, h1p, c1p, g1, c1n, dh1, dc1, p["dec1_W"], p["dec1_U"]
+    # ---- decoder backward, top layer first; each layer's forward arrays
+    # are freed once its weight gradients are out. Gradient reaches the
+    # final states only through the logits, so it starts at zero there.
+    d_init = [None, None]
+    for k in (1, 0):
+        x, Z, trace = runs.pop()
+        d_init[k] = _lstm_backward(Z, trace, p[f"dec{k}_U"], 0.0, 0.0, dx)
+        grads[f"dec{k}_W"], grads[f"dec{k}_U"], grads[f"dec{k}_b"], dx = _layer_grads(
+            x, trace[0], Z, p[f"dec{k}_W"]
         )
-        grads["dec1_W"] += dW
-        grads["dec1_U"] += dU
-        grads["dec1_b"] += db
-        dh0 = dh0 + dx1
-        dx0, dh0, dc0, dW, dU, db = _cell_backward(
-            x0, h0p, c0p, g0, c0n, dh0, dc0, p["dec0_W"], p["dec0_U"]
-        )
-        grads["dec0_W"] += dW
-        grads["dec0_U"] += dU
-        grads["dec0_b"] += db
-        np.add.at(grads["embedding"], dec_in[:, t], dx0)
+        dx = dx.reshape(x.shape[:-1] + (-1,))
+    del x, Z, trace
 
     # ---- bridge backward; collect gradients w.r.t. final encoder states
-    dh_cat = np.zeros_like(enc_cache["h_cat"])
-    dc_cat = np.zeros_like(enc_cache["c_cat"])
-    for layer, d_init in enumerate(((dh0, dc0), (dh1, dc1))):
+    dh_cat = np.zeros_like(h_cat)
+    dc_cat = np.zeros_like(c_cat)
+    for layer, (dh, dc) in enumerate(d_init):
         for kind, cat, dcat, d_state, idx in (
-            ("h", enc_cache["h_cat"], dh_cat, d_init[0], 0),
-            ("c", enc_cache["c_cat"], dc_cat, d_init[1], 1),
+            ("h", h_cat, dh_cat, dh, 0),
+            ("c", c_cat, dc_cat, dc, 1),
         ):
-            bridged = enc_cache["bridge"][layer][idx]
+            bridged = init[layer][idx]
             dpre = d_state * (1.0 - bridged * bridged)
-            grads[f"bridge_{kind}{layer}_W"] += cat.T @ dpre
-            grads[f"bridge_{kind}{layer}_b"] += dpre.sum(axis=0)
+            grads[f"bridge_{kind}{layer}_W"] = cat.T @ dpre
+            grads[f"bridge_{kind}{layer}_b"] = dpre.sum(axis=0)
             dcat += dpre @ p[f"bridge_{kind}{layer}_W"].T
 
-    # ---- encoder backward, one direction at a time
-    for direction, sl in (("fwd", slice(0, h_units)), ("bwd", slice(h_units, 2 * h_units))):
-        dh = dh_cat[:, sl].copy()
-        dc = dc_cat[:, sl].copy()
-        W = p[f"enc_{direction}_W"]
-        U = p[f"enc_{direction}_U"]
-        for t_step, x, h_prev, c_prev, gates, c_new, m in reversed(
-            enc_cache["steps"][direction]
-        ):
-            dh_new = dh * m
-            dc_new = dc * m
-            dx, dh_prev, dc_prev, dW, dU, db = _cell_backward(
-                x, h_prev, c_prev, gates, c_new, dh_new, dc_new, W, U
-            )
-            grads[f"enc_{direction}_W"] += dW
-            grads[f"enc_{direction}_U"] += dU
-            grads[f"enc_{direction}_b"] += db
-            dh = dh_prev + dh * (1.0 - m)
-            dc = dc_prev + dc * (1.0 - m)
-            np.add.at(grads["embedding"], enc_ids[:, t_step], dx)
-    return loss, grads
+    # ---- encoder backward, both directions stacked like the forward
+    _lstm_backward(
+        eZ,
+        e_trace,
+        eU,
+        np.stack(np.split(dh_cat, 2, axis=1)),
+        np.stack(np.split(dc_cat, 2, axis=1)),
+        mask=enc_step_mask,
+    )
+    dW, dU, db, dXe = _layer_grads(eX, e_trace[0], eZ, eW)
+    for d, direction in enumerate(("fwd", "bwd")):
+        grads[f"enc_{direction}_W"] = dW[d]
+        grads[f"enc_{direction}_U"] = dU[d]
+        grads[f"enc_{direction}_b"] = db[d]
+
+    # ---- one embedding scatter for every decoder and encoder step; a
+    # bincount over (id, column) cells sums rows in order, as np.add.at
+    # would, at a fraction of its cost
+    v, d = p["embedding"].shape
+    ids = np.concatenate([dec_in.T.ravel(), enc_steps.ravel()])
+    rows = np.concatenate([dx.reshape(-1, d), dXe.reshape(-1, d)])
+    cells = (ids[:, None] * d + np.arange(d)).ravel()
+    grads["embedding"] = np.bincount(cells, rows.ravel(), v * d).reshape(v, d)
+    return loss, {name: grads[name] for name in p}
 
 
 def _global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from vulnseq.cli import main
+from vulnseq.corpus import load_corpus
+from vulnseq.errors import IntegrityError, ParseError, VersionError
 from vulnseq.seq2seq import load_model
 
 DEMO_C = (
@@ -202,8 +204,34 @@ def test_non_utf8_corpus_exits_one_with_the_line(tmp_path, capsys):
     bad.write_bytes(b'\xff\xfe{"kind": "header", "format_version": 1}\n')
     assert main(["ingest", "-i", str(bad), "-o", str(tmp_path / "out.jsonl")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 1: not valid UTF-8")
+    assert err.startswith(f"error: {bad}: line 1: not valid UTF-8")
     assert not (tmp_path / "out.jsonl").exists()
+
+
+HEADER = '{"kind": "header", "format_version": 1}\n'
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        (HEADER + "{not json\n", ParseError, "line 2: bad JSON"),
+        ('{"kind": "header", "format_version": 99}\n', VersionError, "unsupported corpus"),
+        (HEADER + '{"kind": "component", "release": "r9", "label": "NonVulnerable",'
+         ' "path": "a.c", "source": ""}\n', IntegrityError, "unknown release 'r9'"),
+    ],
+    ids=["parse", "version", "integrity"],
+)
+def test_corpus_errors_name_the_file(body, error, message, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(body)
+    with pytest.raises(error):
+        load_corpus(str(bad))
+    for command in (["ingest", "-o", str(tmp_path / "out.jsonl")],
+                    ["pair", "--release", "0", "-o", str(tmp_path / "pairs")]):
+        assert main([command[0], "-i", str(bad), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert message in err
 
 
 @pytest.mark.parametrize(

@@ -187,7 +187,7 @@ def test_padding_equivalence_between_batched_and_single():
     b = [6, 4]
     ids = np.array([a, b + [PAD] * 3], dtype=np.int64)
     mask = np.array([[1.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0]])
-    outputs, init, _ = _encode_batch(model, ids, mask)
+    outputs, init = _encode_batch(model, ids, mask, outputs=True)
     out_a, init_a = encode(a, model)
     out_b, init_b = encode(b, model)
     assert np.allclose(outputs[0], out_a, atol=1e-12)

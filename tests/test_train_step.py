@@ -1,0 +1,344 @@
+"""The training step against its oracle, the per-step path it replaced.
+
+``compute_loss_and_grads`` hoists every layer's input projection out of
+its time loop, stacks the two encoder directions and defers the weight
+gradients to one GEMM per layer. The oracle below is the earlier
+implementation, kept verbatim: it runs one ``_lstm_step`` per layer and
+timestep, with the piecewise sigmoid, a per-step backprop cache, and
+per-step weight-gradient GEMMs and embedding scatters. The two sum in a
+different order, so they agree to rounding, not bit for bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vulnseq.abstraction import AbstractedSequence, SeqRole
+from vulnseq.pairing import PairKind, TrainingPair
+from vulnseq.seq2seq import ModelConfig, compute_loss_and_grads, init_model, vocabulary_from_pairs
+from vulnseq.seq2seq.model import Seq2SeqModel
+from vulnseq.seq2seq.train import _arrays
+
+# ---------------------------------------------------------------- oracle
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # piecewise form avoids overflow in exp for large |z|
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _lstm_step(x, h, c, W, U, b):
+    """One batched step. Returns (h', c', gate cache for backprop)."""
+    n = W.shape[1] // 4
+    z = x @ W + h @ U + b
+    i = _sigmoid(z[:, :n])
+    f = _sigmoid(z[:, n : 2 * n])
+    g = np.tanh(z[:, 2 * n : 3 * n])
+    o = _sigmoid(z[:, 3 * n :])
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new, (i, f, g, o)
+
+
+def _oracle_encode_batch(
+    model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray, states_only: bool = False
+):
+    """Run the bidirectional encoder over a right-padded id batch.
+
+    Masked positions keep the previous state, so trailing padding never
+    leaks into the final states. Returns outputs (B,T,2H), the bridged
+    decoder initial states, and the cache needed for backprop; with
+    states_only the outputs and the cache are None.
+    """
+    p = model.params
+    B, T = ids.shape
+    H = model.config.hidden_units
+    X = p["embedding"][ids]  # (B,T,D)
+
+    states = {}
+    caches = {"fwd": [], "bwd": []}
+    outputs = None if states_only else np.zeros((B, T, 2 * H))
+    for direction, order in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
+        W, U, b = p[f"enc_{direction}_W"], p[f"enc_{direction}_U"], p[f"enc_{direction}_b"]
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
+        for t in order:
+            m = mask[:, t : t + 1]
+            h_new, c_new, gates = _lstm_step(X[:, t], h, c, W, U, b)
+            if not states_only:
+                caches[direction].append((t, X[:, t], h, c, gates, c_new, m))
+            h = m * h_new + (1.0 - m) * h
+            c = m * c_new + (1.0 - m) * c
+            if not states_only:
+                half = slice(0, H) if direction == "fwd" else slice(H, 2 * H)
+                outputs[:, t, half] = h
+        states[direction] = (h, c)
+
+    h_cat = np.concatenate([states["fwd"][0], states["bwd"][0]], axis=1)
+    c_cat = np.concatenate([states["fwd"][1], states["bwd"][1]], axis=1)
+    init = []
+    bridge_cache = []
+    for layer in range(model.config.decoder_layers):
+        h0 = np.tanh(h_cat @ p[f"bridge_h{layer}_W"] + p[f"bridge_h{layer}_b"])
+        c0 = np.tanh(c_cat @ p[f"bridge_c{layer}_W"] + p[f"bridge_c{layer}_b"])
+        init.append((h0, c0))
+        bridge_cache.append((h0, c0))
+    if states_only:
+        return None, init, None
+    cache = {
+        "ids": ids,
+        "mask": mask,
+        "X": X,
+        "steps": caches,
+        "h_cat": h_cat,
+        "c_cat": c_cat,
+        "bridge": bridge_cache,
+    }
+    return outputs, init, cache
+
+
+def _cell_backward(x, h_prev, c_prev, gates, c_new, dh, dc, W, U):
+    i, f, g, o = gates
+    tc = np.tanh(c_new)
+    do = dh * tc
+    dc_total = dc + dh * o * (1.0 - tc * tc)
+    di = dc_total * g
+    df = dc_total * c_prev
+    dg = dc_total * i
+    dc_prev = dc_total * f
+    dz = np.concatenate(
+        [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)],
+        axis=1,
+    )
+    dW = x.T @ dz
+    dU = h_prev.T @ dz
+    db = dz.sum(axis=0)
+    dx = dz @ W.T
+    dh_prev = dz @ U.T
+    return dx, dh_prev, dc_prev, dW, dU, db
+
+
+def oracle_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
+    """Full forward/backward over one batch, one cell call per step."""
+    p = model.params
+    vocab = model.vocabulary
+    enc_ids, enc_mask, dec_in, dec_tgt, dec_mask = _arrays(batch, vocab)
+    n, t_out = dec_in.shape
+    h_units = model.config.hidden_units
+
+    _, init, enc_cache = _oracle_encode_batch(model, enc_ids, enc_mask)
+
+    # ---- decoder forward (teacher forcing), caching per step
+    dec_caches = []
+    logits = np.zeros((n, t_out, vocab.size()))
+    (h0, c0), (h1, c1) = init
+    X_dec = p["embedding"][dec_in]
+    for t in range(t_out):
+        x0 = X_dec[:, t]
+        h0n, c0n, g0 = _lstm_step(x0, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
+        h1n, c1n, g1 = _lstm_step(h0n, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
+        logits[:, t] = h1n @ p["out_W"] + p["out_b"]
+        dec_caches.append((x0, h0, c0, g0, c0n, h0n, h1, c1, g1, c1n, h1n))
+        h0, c0, h1, c1 = h0n, c0n, h1n, c1n
+
+    # ---- loss: mean over pairs of per-pair mean token cross-entropy
+    zmax = logits.max(axis=2, keepdims=True)
+    lse = zmax[:, :, 0] + np.log(np.exp(logits - zmax).sum(axis=2))
+    picked = np.take_along_axis(logits, dec_tgt[:, :, None], axis=2)[:, :, 0]
+    nll = (lse - picked) * dec_mask
+    per_pair = nll.sum(axis=1) / dec_mask.sum(axis=1)
+    loss = float(per_pair.mean())
+
+    # ---- backward
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    probs = np.exp(logits - lse[:, :, None])
+    weight = (dec_mask / dec_mask.sum(axis=1, keepdims=True)) / n
+    dlogits = probs * weight[:, :, None]
+    np.put_along_axis(
+        dlogits,
+        dec_tgt[:, :, None],
+        np.take_along_axis(dlogits, dec_tgt[:, :, None], axis=2) - weight[:, :, None],
+        axis=2,
+    )
+
+    dh0 = np.zeros((n, h_units))
+    dc0 = np.zeros((n, h_units))
+    dh1 = np.zeros((n, h_units))
+    dc1 = np.zeros((n, h_units))
+    for t in range(t_out - 1, -1, -1):
+        x0, h0p, c0p, g0, c0n, h0n, h1p, c1p, g1, c1n, h1n = dec_caches[t]
+        dl = dlogits[:, t]
+        grads["out_W"] += h1n.T @ dl
+        grads["out_b"] += dl.sum(axis=0)
+        dh1 = dh1 + dl @ p["out_W"].T
+        dx1, dh1, dc1, dW, dU, db = _cell_backward(
+            h0n, h1p, c1p, g1, c1n, dh1, dc1, p["dec1_W"], p["dec1_U"]
+        )
+        grads["dec1_W"] += dW
+        grads["dec1_U"] += dU
+        grads["dec1_b"] += db
+        dh0 = dh0 + dx1
+        dx0, dh0, dc0, dW, dU, db = _cell_backward(
+            x0, h0p, c0p, g0, c0n, dh0, dc0, p["dec0_W"], p["dec0_U"]
+        )
+        grads["dec0_W"] += dW
+        grads["dec0_U"] += dU
+        grads["dec0_b"] += db
+        np.add.at(grads["embedding"], dec_in[:, t], dx0)
+
+    # ---- bridge backward; collect gradients w.r.t. final encoder states
+    dh_cat = np.zeros_like(enc_cache["h_cat"])
+    dc_cat = np.zeros_like(enc_cache["c_cat"])
+    for layer, d_init in enumerate(((dh0, dc0), (dh1, dc1))):
+        for kind, cat, dcat, d_state, idx in (
+            ("h", enc_cache["h_cat"], dh_cat, d_init[0], 0),
+            ("c", enc_cache["c_cat"], dc_cat, d_init[1], 1),
+        ):
+            bridged = enc_cache["bridge"][layer][idx]
+            dpre = d_state * (1.0 - bridged * bridged)
+            grads[f"bridge_{kind}{layer}_W"] += cat.T @ dpre
+            grads[f"bridge_{kind}{layer}_b"] += dpre.sum(axis=0)
+            dcat += dpre @ p[f"bridge_{kind}{layer}_W"].T
+
+    # ---- encoder backward, one direction at a time
+    for direction, sl in (("fwd", slice(0, h_units)), ("bwd", slice(h_units, 2 * h_units))):
+        dh = dh_cat[:, sl].copy()
+        dc = dc_cat[:, sl].copy()
+        W = p[f"enc_{direction}_W"]
+        U = p[f"enc_{direction}_U"]
+        for t_step, x, h_prev, c_prev, gates, c_new, m in reversed(
+            enc_cache["steps"][direction]
+        ):
+            dh_new = dh * m
+            dc_new = dc * m
+            dx, dh_prev, dc_prev, dW, dU, db = _cell_backward(
+                x, h_prev, c_prev, gates, c_new, dh_new, dc_new, W, U
+            )
+            grads[f"enc_{direction}_W"] += dW
+            grads[f"enc_{direction}_U"] += dU
+            grads[f"enc_{direction}_b"] += db
+            dh = dh_prev + dh * (1.0 - m)
+            dc = dc_prev + dc * (1.0 - m)
+            np.add.at(grads["embedding"], enc_ids[:, t_step], dx)
+    return loss, grads
+
+
+
+# ----------------------------------------------------------------- cases
+
+ALPHABET = [f"t{i}" for i in range(24)]
+
+
+def _pair(inp, tgt, name):
+    return TrainingPair(
+        AbstractedSequence(tuple(inp), "p.c", name, 0, SeqRole.VULN_BEFORE),
+        AbstractedSequence(tuple(tgt), "p.c", name, 0, SeqRole.FIXED_AFTER),
+        PairKind.VULN_TO_FIXED,
+    )
+
+
+def _tokens(rng, length):
+    return [ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length)]
+
+
+def _batch(seed, lengths):
+    """Pairs with the given (input, target) lengths and seeded tokens."""
+    rng = np.random.default_rng(seed)
+    return [
+        _pair(_tokens(rng, a), _tokens(rng, b), f"f{k}") for k, (a, b) in enumerate(lengths)
+    ]
+
+
+def _ragged(seed, size=16):
+    """Uneven lengths, with a 1-token and a 50-token input and an empty target."""
+    rng = np.random.default_rng(1000 + seed)
+    lengths = [(1, 3), (50, 47), (9, 0)]
+    lengths += [(int(a), int(b)) for a, b in rng.integers(1, 51, size=(size - 3, 2))]
+    return _batch(seed, lengths)
+
+
+BATCHES = {
+    "ragged": _ragged,
+    "batch of 1": lambda seed: _batch(seed, [(7, 5)]),
+    "single 1-token input, empty target": lambda seed: _batch(seed, [(1, 0)]),
+    "single 50-token input": lambda seed: _batch(seed, [(50, 50)]),
+    "equal lengths": lambda seed: _batch(seed, [(12, 12)] * 4),
+}
+
+
+def _model(batch, hidden, seed):
+    cfg = ModelConfig(embedding_dim=32, hidden_units=hidden, seed=seed)
+    model = init_model(cfg, vocabulary_from_pairs(batch))
+    # spread the weights beyond the uniform init, so gates saturate too
+    rng = np.random.default_rng(seed)
+    for value in model.params.values():
+        value += rng.normal(scale=0.3, size=value.shape)
+    return model
+
+
+# ---------------------------------------------------------------- parity
+
+
+@pytest.mark.parametrize("name", list(BATCHES))
+@pytest.mark.parametrize("hidden", [32, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loss_and_grads_match_the_oracle(name, hidden, seed):
+    batch = BATCHES[name](seed)
+    model = _model(batch, hidden, seed)
+    loss, grads = compute_loss_and_grads(model, batch)
+    ref_loss, ref_grads = oracle_loss_and_grads(model, batch)
+    assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss)
+    assert list(grads) == list(ref_grads)
+    for key, ref in ref_grads.items():
+        got = grads[key]
+        assert got.shape == ref.shape and got.dtype == np.float64
+        scale = float(np.abs(ref).max())  # 0 for enc U on a 1-token input
+        err = float(np.abs(got - ref).max())
+        assert err <= 1e-9 * scale, f"{key}: max error {err:.3e} of largest {scale:.3e}"
+
+
+def test_batches_cover_the_ragged_cases():
+    enc_ids, enc_mask, _, _, dec_mask = _arrays(_ragged(0), vocabulary_from_pairs(_ragged(0)))
+    lengths = enc_mask.sum(axis=1)
+    assert len(lengths) == 16 and lengths.min() == 1 and lengths.max() == 50
+    assert len(set(lengths.tolist())) > 8
+    assert dec_mask.sum(axis=1).min() == 1  # an empty target: EOS alone
+
+
+def test_grads_do_not_alias_parameters():
+    batch = _ragged(0)
+    model = _model(batch, 32, 0)
+    before = model.copy_params()
+    _, grads = compute_loss_and_grads(model, batch)
+    for key, g in grads.items():
+        assert not np.shares_memory(g, model.params[key])
+        g *= 0.5
+    for key, value in model.params.items():
+        assert np.array_equal(value, before[key])
+
+
+# ---------------------------------------------------------------- memory
+
+
+def _peak_bytes(fn, model, batch):
+    fn(model, batch)  # let one-time allocations happen outside the count
+    tracemalloc.start()
+    try:
+        fn(model, batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_exceed_the_oracle():
+    batch = _ragged(0)
+    model = _model(batch, 64, 0)
+    new = _peak_bytes(compute_loss_and_grads, model, batch)
+    old = _peak_bytes(oracle_loss_and_grads, model, batch)
+    assert new <= old, f"peak {new / 1e6:.2f} MB, oracle {old / 1e6:.2f} MB"
