@@ -5,7 +5,8 @@ replaced by positional IDs (F_n, T_n, V_n, L_n) so that a corpus of C
 functions shrinks to a small, closed vocabulary. Keywords, punctuators,
 and number literals pass through verbatim. Abstracted token streams are
 then split into chunks of at most 50 tokens; each chunk is one model
-sequence.
+sequence. ``function_sequences`` and ``source_sequences`` are the one path
+from a function or a source file to its chunks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .cparse import FunctionUnit, TokenKind, classify_identifier_roles
+from .cparse import (
+    FunctionUnit,
+    TokenKind,
+    classify_identifier_roles,
+    extract_functions,
+    tokenize,
+)
 from .errors import EmptyFunction
 
 CHUNK_LIMIT = 50
@@ -141,4 +148,25 @@ def to_sequences(tokens: list[str], meta: SequenceMeta) -> list[AbstractedSequen
             role=meta.role,
         )
         for i in range(0, len(tokens), CHUNK_LIMIT)
+    ]
+
+
+def function_sequences(
+    fn: FunctionUnit, path: str, role: SeqRole, shared: IdMap | None = None
+) -> list[AbstractedSequence]:
+    """Abstract one function (``shared`` as in abstract_function), then chunk it."""
+    tokens, _ = abstract_function(fn, shared)
+    return to_sequences(tokens, SequenceMeta(path, fn.name, role))
+
+
+def source_sequences(path: str, source: str) -> list[AbstractedSequence]:
+    """NonVulnerable chunks of every function in one file, in file order.
+
+    Each function gets a fresh ID map. Raises LexError or StructureError
+    when the file cannot be split into functions.
+    """
+    return [
+        seq
+        for fn in extract_functions(tokenize(source))
+        for seq in function_sequences(fn, path, SeqRole.NON_VULNERABLE)
     ]

@@ -11,6 +11,7 @@ maps.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from collections import Counter
@@ -242,16 +243,19 @@ def run_baseline(
     if bins < 1:
         raise ConfigError("bins must be >= 1")
 
+    # a middle release is pair i's test set and pair i+1's training set;
+    # featurise each component once per run
+    @functools.cache
+    def features(component: ComponentRecord) -> FeatureVector:
+        return extract_features(component, technique, bins)
+
     def fit_predict(material, test_release):
-        training = [
-            (extract_features(c, technique, bins), True) for c in material.fix_pairs
-        ] + [
-            (extract_features(c, technique, bins), False)
-            for c in material.non_vulnerable
+        training = [(features(c), True) for c in material.fix_pairs] + [
+            (features(c), False) for c in material.non_vulnerable
         ]
         model = train_classifier(training, cfg)
         return [
-            BaselinePrediction(c.path, model.predict(extract_features(c, technique, bins)))
+            BaselinePrediction(c.path, model.predict(features(c)))
             for c in test_release.components
         ]
 

@@ -24,11 +24,11 @@ import json
 import sys
 from dataclasses import dataclass, fields
 
-from .abstraction import SeqRole, SequenceMeta, abstract_function, to_sequences
+from .abstraction import source_sequences
 from .baselines import ClassifierConfig, Technique, run_baseline
 from .corpus import Corpus, Setting, load_corpus, save_corpus, training_material
 from .cparse import extract_functions, tokenize
-from .errors import ConfigError, EmptyFunction, VulnseqError
+from .errors import ConfigError, VulnseqError
 from .evaluate import reports_to_csv, reports_to_jsonl, run_experiment, summarize
 from .fileio import atomic_write_text
 from .pairing import PairingConfig, build_training_pairs, labeled_functions_from_material
@@ -258,21 +258,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequences_for_source(path: str, text: str):
-    for fn in extract_functions(tokenize(text)):
-        tokens, _ = abstract_function(fn)
-        meta = SequenceMeta(path, fn.name, SeqRole.NON_VULNERABLE)
-        try:
-            yield from to_sequences(tokens, meta)
-        except EmptyFunction:
-            continue
-
-
 def cmd_abstract(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     lines = [
         f"{seq.function_name}\t{seq.chunk_index}\t{' '.join(seq.tokens)}\n"
-        for seq in _sequences_for_source(args.input, text)
+        for seq in source_sequences(args.input, text)
     ]
     _write_output(args.output, "".join(lines))
     return 0

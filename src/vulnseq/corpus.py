@@ -312,37 +312,25 @@ def _check_release_index(corpus: Corpus, release_index: int) -> None:
         )
 
 
-def _still_vulnerable_next(corpus: Corpus, release_index: int) -> set[str]:
-    nxt = corpus.releases[release_index + 1]
-    return {c.path for c in nxt.components if c.label is Label.VULNERABLE}
-
-
-def clean_training_set(
-    corpus: Corpus, release_index: int, include_unfixed: bool = True
-) -> TrainingMaterial:
+def clean_training_set(corpus: Corpus, release_index: int) -> TrainingMaterial:
     """All vulnerable components of the release, regardless of detection date.
 
-    include_unfixed=False omits components that are still vulnerable at the
-    same path in the next release (they reappear in the test ground truth);
-    by default they train here and are tested there.
+    A component still vulnerable at the same path in the next release
+    trains here and is tested there.
     """
     _check_release_index(corpus, release_index)
     release = corpus.releases[release_index]
-    skip = set() if include_unfixed else _still_vulnerable_next(corpus, release_index)
     fix_pairs = []
     non_vulnerable = []
     for comp in release.components:
         if comp.label is Label.VULNERABLE:
-            if comp.path not in skip:
-                fix_pairs.append(comp)
+            fix_pairs.append(comp)
         else:
             non_vulnerable.append(comp)
     return TrainingMaterial(release.name, tuple(fix_pairs), tuple(non_vulnerable))
 
 
-def realistic_training_set(
-    corpus: Corpus, release_index: int, include_unfixed: bool = True
-) -> TrainingMaterial:
+def realistic_training_set(corpus: Corpus, release_index: int) -> TrainingMaterial:
     """Only vulnerabilities detected strictly before the next release date.
 
     A vulnerable component whose detections all come later (or that has no
@@ -352,14 +340,11 @@ def realistic_training_set(
     _check_release_index(corpus, release_index)
     release = corpus.releases[release_index]
     next_date = corpus.releases[release_index + 1].release_date
-    skip = set() if include_unfixed else _still_vulnerable_next(corpus, release_index)
     fix_pairs = []
     treated_non_vulnerable = []
     for comp in release.components:
         if comp.label is Label.NON_VULNERABLE:
             treated_non_vulnerable.append(comp)
-            continue
-        if comp.path in skip:
             continue
         dates = []
         for vid in comp.vuln_ids:

@@ -76,9 +76,15 @@ _TOKEN_RE = re.compile(
     | (?P<comment>/\*.*?\*/|//[^\n]*)
     | (?P<string_literal>"(?:\\.|[^"\\\n])*")
     | (?P<char_literal>'(?:\\.|[^'\\\n])*')
-    | (?P<number_literal>(?:\d|\.\d)(?:[\w.]|[eEpP][+-])*)
+    | (?P<number_literal>(?:\d|\.\d)(?:[eEpP][+-]|[\w.])*)
     | (?P<identifier>[A-Za-z_]\w*)
-    """,
+    | (?P<open_comment>/\*)
+    | (?P<open_string>")
+    | (?P<open_char>')
+    """
+    # An unknown byte (e.g. @ or a stray backslash) is kept as a one-char
+    # punctuator, so the round-trip invariant holds.
+    + "| (?P<punctuator>" + "|".join(map(re.escape, PUNCTUATORS)) + "|.)",
     re.VERBOSE | re.DOTALL,
 )
 
@@ -89,6 +95,15 @@ _GROUP_KIND = {
     "char_literal": TokenKind.CHAR_LITERAL,
     "number_literal": TokenKind.NUMBER_LITERAL,
     "identifier": TokenKind.IDENTIFIER,
+    "punctuator": TokenKind.PUNCTUATOR,
+}
+
+# Openers whose token never closes; the regex reaches them only after the
+# terminated forms above have failed at the same position.
+_UNTERMINATED = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated char literal",
 }
 
 
@@ -104,35 +119,14 @@ def tokenize(source: str) -> list[Token]:
     unterminated block comment.
     """
     tokens: list[Token] = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is not None:
-            kind = _GROUP_KIND[m.lastgroup]
-            text = m.group()
-            if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            tokens.append(Token(text, kind))
-            pos = m.end()
-            continue
-        ch = source[pos]
-        if source.startswith("/*", pos):
-            raise LexError("unterminated block comment", _byte_offset(source, pos))
-        if ch == '"':
-            raise LexError("unterminated string literal", _byte_offset(source, pos))
-        if ch == "'":
-            raise LexError("unterminated char literal", _byte_offset(source, pos))
-        for punct in PUNCTUATORS:
-            if source.startswith(punct, pos):
-                tokens.append(Token(punct, TokenKind.PUNCTUATOR))
-                pos += len(punct)
-                break
-        else:
-            # Unknown byte (e.g. @ or a stray backslash): keep as a
-            # one-char punctuator so the round-trip invariant holds.
-            tokens.append(Token(ch, TokenKind.PUNCTUATOR))
-            pos += 1
+    for m in _TOKEN_RE.finditer(source):
+        kind = _GROUP_KIND.get(m.lastgroup)
+        if kind is None:
+            raise LexError(_UNTERMINATED[m.lastgroup], _byte_offset(source, m.start()))
+        text = m.group()
+        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        tokens.append(Token(text, kind))
     return tokens
 
 

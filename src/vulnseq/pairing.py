@@ -17,13 +17,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 
-from .abstraction import (
-    AbstractedSequence,
-    SeqRole,
-    SequenceMeta,
-    abstract_function,
-    to_sequences,
-)
+from .abstraction import AbstractedSequence, IdMap, SeqRole, function_sequences
 from .corpus import Label, TrainingMaterial
 from .cparse import FunctionUnit, extract_functions, tokenize
 from .errors import ConfigError
@@ -153,15 +147,13 @@ def build_training_pairs(
     candidates: list[TrainingPair] = []
     for lf in labeled:
         if lf.label is Label.VULNERABLE:
-            before_tokens, idmap = abstract_function(lf.before)
-            after_tokens, _ = abstract_function(lf.after, shared=idmap)
-            before_seqs = to_sequences(
-                before_tokens,
-                SequenceMeta(lf.path, lf.function_name, SeqRole.VULN_BEFORE),
+            # one ID map across the pair keeps unchanged regions aligned
+            idmap = IdMap()
+            before_seqs = function_sequences(
+                lf.before, lf.path, SeqRole.VULN_BEFORE, idmap
             )
-            after_seqs = to_sequences(
-                after_tokens,
-                SequenceMeta(lf.path, lf.function_name, SeqRole.FIXED_AFTER),
+            after_seqs = function_sequences(
+                lf.after, lf.path, SeqRole.FIXED_AFTER, idmap
             )
             shared = min(len(before_seqs), len(after_seqs))
             for k in range(shared):
@@ -182,15 +174,8 @@ def build_training_pairs(
                     TrainingPair(seq, seq, PairKind.FIXED_TO_FIXED)
                 )
         else:
-            tokens, _ = abstract_function(lf.before)
-            seqs = to_sequences(
-                tokens,
-                SequenceMeta(lf.path, lf.function_name, SeqRole.NON_VULNERABLE),
-            )
-            for seq in seqs:
-                candidates.append(
-                    TrainingPair(seq, seq, PairKind.NON_VULN_TO_SELF)
-                )
+            for seq in function_sequences(lf.before, lf.path, SeqRole.NON_VULNERABLE):
+                candidates.append(TrainingPair(seq, seq, PairKind.NON_VULN_TO_SELF))
     cap = int(cfg.non_vuln_ratio * len(vuln_to_fixed))
     ranked = sorted(candidates, key=lambda tp: _priority(cfg.seed, tp.input))
     return vuln_to_fixed + fixed_identity + ranked[:cap]

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abstraction import SeqRole, SequenceMeta, abstract_function, to_sequences
+from .abstraction import source_sequences
 from .corpus import ComponentRecord, Release
-from .cparse import extract_functions, tokenize
-from .errors import EmptyFunction, LexError, StructureError
+from .errors import LexError, StructureError
 from .seq2seq import Seq2SeqModel, Vocabulary, greedy_reproduces
 
 
@@ -45,21 +44,10 @@ def _component_rows(
 ) -> list[tuple[str, int, list[int]]]:
     """(function, chunk index, ids) for each chunk; none if unparseable."""
     try:
-        functions = extract_functions(tokenize(component.source))
+        seqs = source_sequences(component.path, component.source)
     except (LexError, StructureError):
         return []
-    rows = []
-    for fn in functions:
-        tokens, _ = abstract_function(fn)
-        try:
-            seqs = to_sequences(
-                tokens,
-                SequenceMeta(component.path, fn.name, SeqRole.NON_VULNERABLE),
-            )
-        except EmptyFunction:
-            continue
-        rows.extend((fn.name, seq.chunk_index, vocab.encode(seq.tokens)) for seq in seqs)
-    return rows
+    return [(s.function_name, s.chunk_index, vocab.encode(s.tokens)) for s in seqs]
 
 
 def _verdicts(

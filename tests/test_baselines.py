@@ -349,6 +349,24 @@ def test_realistic_setting_runs_for_baselines(synth_corpus):
         assert report.setting is Setting.REALISTIC
 
 
+def test_each_component_is_featurised_once_per_run(monkeypatch):
+    # release 1 is pair 0's test set and pair 1's training set
+    corpus = generate_synthetic_corpus(
+        3, SynthesisSpec(n_releases=3, components_per_release=12)
+    )
+    calls = []
+
+    def counting(component, technique, bins):
+        calls.append(component)
+        return extract_features(component, technique, bins)
+
+    monkeypatch.setattr("vulnseq.baselines.extract_features", counting)
+    run_baseline(corpus, Technique.TEXT_MINING, Setting.CLEAN)
+    distinct = {c for r in corpus.releases for c in r.components}
+    assert len(calls) == len(distinct)
+    assert set(calls) == distinct
+
+
 def test_baseline_requires_two_releases(synth_corpus):
     single = dataclasses.replace(synth_corpus, releases=synth_corpus.releases[:1])
     with pytest.raises(ConfigError):

@@ -262,7 +262,7 @@ def test_realistic_subset_of_clean_on_synthetic():
             assert real <= clean
 
 
-def test_include_unfixed_flag():
+def test_still_vulnerable_component_trains_in_its_release():
     persists = _component("a.c", vuln=True, vuln_ids=("CVE-1",))
     r0 = Release("r0", D(2020, 1, 1), (persists, _component("b.c")))
     r1 = Release("r1", D(2020, 4, 1), (persists, _component("b.c")))
@@ -271,11 +271,6 @@ def test_include_unfixed_flag():
     )
     corpus = Corpus("demo", (r0, r1), (vuln,))
     assert [c.path for c in clean_training_set(corpus, 0).fix_pairs] == ["a.c"]
-    dropped = clean_training_set(corpus, 0, include_unfixed=False)
-    assert dropped.fix_pairs == ()
-    # omitted entirely, not recast as non-vulnerable
-    assert "a.c" not in {c.path for c in dropped.non_vulnerable}
-    assert realistic_training_set(corpus, 0, include_unfixed=False).fix_pairs == ()
 
 
 def test_training_material_dispatches_on_setting():

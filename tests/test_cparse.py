@@ -84,6 +84,17 @@ def test_tokenize_literal_kinds():
     ]
 
 
+@pytest.mark.parametrize("literal", ["1e+3", "1.5E-10f", "0x1p-4"])
+def test_tokenize_signed_exponent_is_one_number(literal):
+    # a C pp-number takes the sign after e/E/p/P
+    assert strip_noise(tokenize(f"x = {literal};")) == [
+        Token("x", TokenKind.IDENTIFIER),
+        Token("=", TokenKind.PUNCTUATOR),
+        Token(literal, TokenKind.NUMBER_LITERAL),
+        Token(";", TokenKind.PUNCTUATOR),
+    ]
+
+
 @pytest.mark.parametrize(
     "src,what",
     [
