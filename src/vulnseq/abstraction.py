@@ -69,17 +69,6 @@ class IdMap:
         self.entries[role_letter][spelling] = rendered
         return rendered
 
-    def seed_identity(self, tokens: list[str]) -> None:
-        """Register already-abstracted ID tokens as mapping to themselves."""
-        for tok in tokens:
-            m = ID_TOKEN_RE.match(tok)
-            if m is None:
-                continue
-            letter = m.group(1)
-            self.entries[letter].setdefault(tok, tok)
-            num = int(tok.split("_", 1)[1])
-            self.counters[letter] = max(self.counters[letter], num + 1)
-
     def size(self) -> dict[str, int]:
         return {r: len(self.entries[r]) for r in _ROLES}
 

@@ -65,7 +65,6 @@ _PROFILES: dict[str, dict[str, object]] = {
 _MODEL_FLAG_FIELDS = (
     "embedding_dim",
     "hidden_units",
-    "max_decode_length",
     "learning_rate",
     "batch_size",
     "clip_norm",
@@ -113,11 +112,6 @@ def _read_text(path: str) -> str:
         raise ConfigError(
             f"cannot read {path}: not valid UTF-8 at byte {exc.start}"
         ) from None
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
 
 
 def _load_corpus(path: str) -> Corpus:
@@ -170,9 +164,11 @@ def _load_config_file(path: str) -> dict:
     pairing_section = data.get("pairing", {})
     if not isinstance(pairing_section, dict):
         raise ConfigError("config key 'pairing' must hold an object")
-    for key in pairing_section:
+    for key, value in pairing_section.items():
         if key != "non_vuln_ratio":
             raise ConfigError(f"unknown pairing config key: {key}")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"pairing config key {key} must be a number")
     if "seed" in data and (not isinstance(data["seed"], int) or isinstance(data["seed"], bool)):
         raise ConfigError("config key 'seed' must be an integer")
     if "profile" in data and data["profile"] not in _PROFILES:
@@ -199,8 +195,6 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
     if ratio is None:
         ratio = data.get("pairing", {}).get("non_vuln_ratio", 5.0)
     pairing = PairingConfig(non_vuln_ratio=float(ratio), seed=seed)
-    if pairing.non_vuln_ratio <= 0:
-        raise ConfigError("ratio must be positive")
     return RunConfig(seed=seed, profile=profile, model=model, pairing=pairing)
 
 
@@ -327,7 +321,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
     model = _load_model(args.model)
     corpus = _load_corpus(args.input)
     release = _release(corpus, args.release)
@@ -351,7 +344,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_jobs(args.jobs)
     rc = resolve_run_config(args)
     corpus = _load_corpus(args.input)
     setting = _SETTINGS[args.setting]
@@ -419,9 +411,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         )
 
 
-_JOBS_HELP = "accepted and ignored (must be >= 1); prediction runs as one batched pass"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vulnseq",
@@ -482,14 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--model", required=True, help="model checkpoint")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--release", type=int, required=True, help="release index to score")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_output_flag(p)
 
     p = command("evaluate", cmd_evaluate, "run the release-pair experiment end to end")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="clean", help="training material setting")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="report format")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_model_flags(p)
     _add_output_flag(p)
 

@@ -49,12 +49,6 @@ class Release:
     release_date: datetime.date
     components: tuple[ComponentRecord, ...]
 
-    def component(self, path: str) -> ComponentRecord | None:
-        for comp in self.components:
-            if comp.path == path:
-                return comp
-        return None
-
 
 @dataclass(frozen=True)
 class VulnerabilityRecord:
@@ -68,12 +62,6 @@ class Corpus:
     project_name: str
     releases: tuple[Release, ...]
     vulnerabilities: tuple[VulnerabilityRecord, ...]
-
-    def vulnerability(self, vuln_id: str) -> VulnerabilityRecord | None:
-        for rec in self.vulnerabilities:
-            if rec.vuln_id == vuln_id:
-                return rec
-        return None
 
 
 @dataclass(frozen=True)
@@ -101,6 +89,7 @@ def validate_corpus(corpus: Corpus) -> None:
         raise IntegrityError("duplicate vulnerability ids")
     prev_date = None
     seen_names = set()
+    components: dict[tuple[str, str], ComponentRecord] = {}
     for rel in corpus.releases:
         if rel.name in seen_names:
             raise IntegrityError(f"duplicate release name {rel.name!r}")
@@ -110,13 +99,12 @@ def validate_corpus(corpus: Corpus) -> None:
                 f"release dates must strictly increase (at {rel.name!r})"
             )
         prev_date = rel.release_date
-        paths = set()
         for comp in rel.components:
-            if comp.path in paths:
+            if (rel.name, comp.path) in components:
                 raise IntegrityError(
                     f"duplicate path {comp.path!r} in release {rel.name!r}"
                 )
-            paths.add(comp.path)
+            components[rel.name, comp.path] = comp
             if comp.label is Label.VULNERABLE and comp.fixed_source is None:
                 raise IntegrityError(
                     f"vulnerable component {comp.path!r} lacks fixed source"
@@ -136,11 +124,9 @@ def validate_corpus(corpus: Corpus) -> None:
                     raise IntegrityError(
                         f"component {comp.path!r} references unknown {vid!r}"
                     )
-    by_name = {rel.name: rel for rel in corpus.releases}
     for rec in corpus.vulnerabilities:
         for rel_name, path in rec.affected_paths:
-            rel = by_name.get(rel_name)
-            comp = rel.component(path) if rel is not None else None
+            comp = components.get((rel_name, path))
             if comp is None:
                 raise IntegrityError(
                     f"{rec.vuln_id} affects unknown component {rel_name}:{path}"
@@ -302,71 +288,42 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     atomic_write_text(path, corpus_to_jsonl(corpus))
 
 
-def _check_release_index(corpus: Corpus, release_index: int) -> None:
-    # the last release has no following release to test against
+def training_material(
+    corpus: Corpus, release_index: int, setting: Setting
+) -> TrainingMaterial:
+    """Training view of one release under a setting.
+
+    Every vulnerable component is a fix pair, except under the realistic
+    setting when none of its vulnerabilities was detected strictly before
+    the next release's date (or it has no detection record at all): then
+    it lands in non_vulnerable, and that mislabeling is the noise the
+    realistic setting models. The last release has no following release
+    to test against, so it cannot train.
+    """
     if not 0 <= release_index < len(corpus.releases) - 1:
         raise ConfigError(
             f"release index {release_index} out of range: corpus has "
             f"{len(corpus.releases)} releases, so valid train indices are "
             f"0..{len(corpus.releases) - 2}"
         )
-
-
-def clean_training_set(corpus: Corpus, release_index: int) -> TrainingMaterial:
-    """All vulnerable components of the release, regardless of detection date.
-
-    A component still vulnerable at the same path in the next release
-    trains here and is tested there.
-    """
-    _check_release_index(corpus, release_index)
     release = corpus.releases[release_index]
+    next_date = corpus.releases[release_index + 1].release_date
+    detected = {rec.vuln_id: rec.detection_date for rec in corpus.vulnerabilities}
     fix_pairs = []
     non_vulnerable = []
     for comp in release.components:
-        if comp.label is Label.VULNERABLE:
-            fix_pairs.append(comp)
-        else:
-            non_vulnerable.append(comp)
+        is_fix_pair = comp.label is Label.VULNERABLE
+        if is_fix_pair and setting is Setting.REALISTIC:
+            for vid in comp.vuln_ids:
+                if vid not in detected:
+                    raise IntegrityError(
+                        f"component {comp.path!r} references unknown {vid!r}"
+                    )
+            is_fix_pair = any(detected[vid] < next_date for vid in comp.vuln_ids)
+        (fix_pairs if is_fix_pair else non_vulnerable).append(comp)
     return TrainingMaterial(release.name, tuple(fix_pairs), tuple(non_vulnerable))
 
 
-def realistic_training_set(corpus: Corpus, release_index: int) -> TrainingMaterial:
-    """Only vulnerabilities detected strictly before the next release date.
-
-    A vulnerable component whose detections all come later (or that has no
-    detection record at all) lands in the non_vulnerable bucket: that
-    mislabeling is the noise the realistic setting models.
-    """
-    _check_release_index(corpus, release_index)
-    release = corpus.releases[release_index]
-    next_date = corpus.releases[release_index + 1].release_date
-    fix_pairs = []
-    treated_non_vulnerable = []
-    for comp in release.components:
-        if comp.label is Label.NON_VULNERABLE:
-            treated_non_vulnerable.append(comp)
-            continue
-        dates = []
-        for vid in comp.vuln_ids:
-            rec = corpus.vulnerability(vid)
-            if rec is None:
-                raise IntegrityError(
-                    f"component {comp.path!r} references unknown {vid!r}"
-                )
-            dates.append(rec.detection_date)
-        if dates and min(dates) < next_date:
-            fix_pairs.append(comp)
-        else:
-            treated_non_vulnerable.append(comp)
-    return TrainingMaterial(
-        release.name, tuple(fix_pairs), tuple(treated_non_vulnerable)
-    )
-
-
-def training_material(
-    corpus: Corpus, release_index: int, setting: Setting
-) -> TrainingMaterial:
-    """Training view of one release under a setting: the clean or realistic split."""
-    if setting is Setting.CLEAN:
-        return clean_training_set(corpus, release_index)
-    return realistic_training_set(corpus, release_index)
+def clean_training_set(corpus: Corpus, release_index: int) -> TrainingMaterial:
+    """All vulnerable components of the release, regardless of detection date."""
+    return training_material(corpus, release_index, Setting.CLEAN)

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Protocol
 
 from .corpus import Corpus, Label, Release, Setting, TrainingMaterial, training_material
@@ -236,26 +236,7 @@ def summarize(reports: list[EvaluationReport]) -> dict:
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    out: dict = {
-        "kind": "report",
-        "train_release": report.train_release,
-        "test_release": report.test_release,
-        "setting": report.setting.value,
-        "failed": report.failed,
-        "error": report.error,
-    }
-    if report.matrix is not None:
-        out["matrix"] = {
-            "tp": report.matrix.tp,
-            "fp": report.matrix.fp,
-            "tn": report.matrix.tn,
-            "fn": report.matrix.fn,
-        }
-    else:
-        out["matrix"] = None
-    for field_name in _SUMMARY_FIELDS:
-        out[field_name] = getattr(report, field_name)
-    return out
+    return {**asdict(report), "kind": "report", "setting": report.setting.value}
 
 
 def reports_to_jsonl(reports: list[EvaluationReport]) -> str:

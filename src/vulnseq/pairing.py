@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .abstraction import AbstractedSequence, IdMap, SeqRole, function_sequences
@@ -56,6 +57,10 @@ class TrainingPair:
 class PairingConfig:
     non_vuln_ratio: float = 5.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.non_vuln_ratio) and self.non_vuln_ratio > 0):
+            raise ConfigError("non_vuln_ratio must be positive and finite")
 
 
 def pair_functions(
@@ -140,8 +145,6 @@ def build_training_pairs(
     priority keyed on (seed, path, function, chunk) so that input order
     cannot change the sample.
     """
-    if cfg.non_vuln_ratio <= 0:
-        raise ConfigError("non_vuln_ratio must be positive")
     vuln_to_fixed: list[TrainingPair] = []
     fixed_identity: list[TrainingPair] = []
     candidates: list[TrainingPair] = []

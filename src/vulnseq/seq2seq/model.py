@@ -10,6 +10,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("learning_rate", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         positive = {
             "embedding_dim": self.embedding_dim,
             "hidden_units": self.hidden_units,

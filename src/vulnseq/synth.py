@@ -14,6 +14,7 @@ makes desk-scale training feasible.
 from __future__ import annotations
 
 import datetime
+import math
 import random
 from dataclasses import dataclass
 
@@ -46,6 +47,11 @@ _INCLUDE_POOL = ["stdlib.h", "stdio.h", "string.h", "math.h", "time.h"]
 N_FILLER_VARIANTS = 5
 N_VULN_VARIANTS = 3
 
+# a skew steep enough that every likely name is taken would otherwise
+# redraw forever; seeds 0-7 with shared names needed at most 42,892
+# draws for one name at skew 6
+_MAX_NAME_DRAWS = 100_000
+
 
 @dataclass(frozen=True)
 class SynthesisSpec:
@@ -73,8 +79,8 @@ class SynthesisSpec:
             raise ConfigError("components_per_release must be positive")
         if not 0.0 < self.vuln_fraction < 1.0:
             raise ConfigError("vuln_fraction must be in (0, 1)")
-        if self.vocabulary_skew < 0.0:
-            raise ConfigError("vocabulary_skew must be non-negative")
+        if not (math.isfinite(self.vocabulary_skew) and self.vocabulary_skew >= 0.0):
+            raise ConfigError("vocabulary_skew must be finite and non-negative")
         if self.detection_lag_days < 0:
             raise ConfigError("detection_lag_days must be non-negative")
         if not 0.0 <= self.carryover_fraction < 1.0:
@@ -88,22 +94,27 @@ class GeneratedFile:
     source: str
     fixed_source: str | None
     roles: dict[str, str]
-    external_calls: frozenset[str]
     defined_functions: tuple[str, ...]
-    includes: tuple[str, ...]
+
+
+def _zipf_weight(rank: int, skew: float) -> float:
+    try:
+        return 1.0 / rank**skew
+    except OverflowError:  # rank**skew is past the largest float
+        return 0.0
 
 
 class _Namer:
     def __init__(self, rng: random.Random, skew: float, suffixes: bool = True):
         self.rng = rng
         self.suffixes = suffixes
-        self.weights = [1.0 / (i + 1) ** skew for i in range(len(_WORDS))]
+        self.weights = [_zipf_weight(i + 1, skew) for i in range(len(_WORDS))]
         self.used: set[str] = set(_RESERVED)
 
     def fresh(self) -> str:
         # suffixed names are effectively unique per corpus; unsuffixed ones
         # draw from a small shared pool so spellings recur across files
-        while True:
+        for _ in range(_MAX_NAME_DRAWS):
             a, b = self.rng.choices(_WORDS, weights=self.weights, k=2)
             if self.suffixes:
                 name = f"{a}_{b}_{self.rng.randrange(1000):03d}"
@@ -112,9 +123,13 @@ class _Namer:
             if name not in self.used:
                 self.used.add(name)
                 return name
+        raise ConfigError(
+            f"no unused identifier after {_MAX_NAME_DRAWS} draws: "
+            "the vocabulary skew is too steep"
+        )
 
 
-def _filler_guarded_ratio(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
+def _filler_guarded_ratio(n: _Namer) -> tuple[str, dict[str, str]]:
     # deliberately non-static with an early-return guard so its token
     # stream diverges from the fixed-vulnerable shape at the first token
     fn, a, b = n.fresh(), n.fresh(), n.fresh()
@@ -125,10 +140,10 @@ def _filler_guarded_ratio(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
         f" return {a} / {b};\n"
         f"}}\n"
     )
-    return src, {fn: "F", a: "V", b: "V"}, set()
+    return src, {fn: "F", a: "V", b: "V"}
 
 
-def _filler_struct_swap(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
+def _filler_struct_swap(n: _Namer) -> tuple[str, dict[str, str]]:
     fn, tname, a, b, t, fa = (n.fresh() for _ in range(6))
     src = (
         f"static void {fn}(struct {tname} *{a}, struct {tname} *{b}) {{\n"
@@ -139,10 +154,10 @@ def _filler_struct_swap(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
         f"}}\n"
     )
     roles = {fn: "F", tname: "T", a: "V", b: "V", t: "V", fa: "V"}
-    return src, roles, set()
+    return src, roles
 
 
-def _filler_logger(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
+def _filler_logger(n: _Namer) -> tuple[str, dict[str, str]]:
     fn, msg = n.fresh(), n.fresh()
     src = (
         f"static void {fn}(const char *{msg}) {{\n"
@@ -152,10 +167,10 @@ def _filler_logger(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
         f"}}\n"
     )
     roles = {fn: "F", msg: "V", "log_write": "F", "log_flush": "F"}
-    return src, roles, {"log_write", "log_flush"}
+    return src, roles
 
 
-def _filler_loop_sum(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
+def _filler_loop_sum(n: _Namer) -> tuple[str, dict[str, str]]:
     fn, cnt, i, acc = (n.fresh() for _ in range(4))
     src = (
         f"static int {fn}(int {cnt}) {{\n"
@@ -171,10 +186,10 @@ def _filler_loop_sum(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
         f" return {acc};\n"
         f"}}\n"
     )
-    return src, {fn: "F", cnt: "V", i: "V", acc: "V"}, set()
+    return src, {fn: "F", cnt: "V", i: "V", acc: "V"}
 
 
-def _filler_max2(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
+def _filler_max2(n: _Namer) -> tuple[str, dict[str, str]]:
     fn, x, y = n.fresh(), n.fresh(), n.fresh()
     src = (
         f"static long {fn}(long {x}, long {y}) {{\n"
@@ -183,7 +198,7 @@ def _filler_max2(n: _Namer) -> tuple[str, dict[str, str], set[str]]:
         f" return {y};\n"
         f"}}\n"
     )
-    return src, {fn: "F", x: "V", y: "V"}, set()
+    return src, {fn: "F", x: "V", y: "V"}
 
 
 _FILLERS = [
@@ -200,7 +215,7 @@ _VULN_SHAPES = [("int", "%", False), ("long", "/", True), ("unsigned", "%", Fals
 
 def _vuln_function(
     n: _Namer, variant: int, plant_sentinel: bool
-) -> tuple[str, str, dict[str, str], set[str]]:
+) -> tuple[str, str, dict[str, str]]:
     ctype, op, plus_one = _VULN_SHAPES[variant % N_VULN_VARIANTS]
     fn, num, den, out = (n.fresh() for _ in range(4))
     ret = f"return {out} + 1;" if plus_one else f"return {out};"
@@ -228,11 +243,9 @@ def _vuln_function(
         f"}}\n"
     )
     roles = {fn: "F", num: "V", den: "V", out: "V"}
-    calls = set()
     if plant_sentinel:
         roles[SENTINEL_FUNCTION] = "F"
-        calls.add(SENTINEL_FUNCTION)
-    return before, after, roles, calls
+    return before, after, roles
 
 
 def _render_file(includes: list[str], bodies: list[str]) -> str:
@@ -241,32 +254,23 @@ def _render_file(includes: list[str], bodies: list[str]) -> str:
 
 
 def filler_file(
-    rng: random.Random,
-    skew: float,
-    variants: tuple[int, ...] | None = None,
-    name_suffixes: bool = True,
+    rng: random.Random, skew: float, name_suffixes: bool = True
 ) -> GeneratedFile:
-    """A non-vulnerable file of two (or given) filler functions."""
+    """A non-vulnerable file of two randomly chosen filler functions."""
     namer = _Namer(rng, skew, name_suffixes)
-    if variants is None:
-        variants = tuple(
-            rng.randrange(N_FILLER_VARIANTS) for _ in range(2)
-        )
-    includes = tuple(rng.sample(_INCLUDE_POOL, k=2))
-    bodies, roles, calls, defined = [], {}, set(), []
+    variants = [rng.randrange(N_FILLER_VARIANTS) for _ in range(2)]
+    includes = rng.sample(_INCLUDE_POOL, k=2)
+    bodies, roles, defined = [], {}, []
     for v in variants:
-        src, r, c = _FILLERS[v % N_FILLER_VARIANTS](namer)
+        src, r = _FILLERS[v](namer)
         bodies.append(src)
         roles.update(r)
-        calls |= c
         defined.append(next(k for k, role in r.items() if role == "F" and k not in _RESERVED))
     return GeneratedFile(
-        source=_render_file(list(includes), bodies),
+        source=_render_file(includes, bodies),
         fixed_source=None,
         roles=roles,
-        external_calls=frozenset(calls),
         defined_functions=tuple(defined),
-        includes=includes,
     )
 
 
@@ -280,14 +284,13 @@ def vulnerable_file(
 ) -> GeneratedFile:
     """A vulnerable file plus its fix: same fillers, guarded core function."""
     namer = _Namer(rng, skew, name_suffixes)
-    includes = tuple(rng.sample(_INCLUDE_POOL, k=2))
-    before_fn, after_fn, roles, calls = _vuln_function(namer, variant, plant_sentinel)
+    includes = rng.sample(_INCLUDE_POOL, k=2)
+    before_fn, after_fn, roles = _vuln_function(namer, variant, plant_sentinel)
     filler_bodies, defined = [], []
     for v in filler_variants:
-        src, r, c = _FILLERS[v % N_FILLER_VARIANTS](namer)
+        src, r = _FILLERS[v % N_FILLER_VARIANTS](namer)
         filler_bodies.append(src)
         roles.update(r)
-        calls |= c
         defined.append(next(k for k, role in r.items() if role == "F" and k not in _RESERVED))
     pos = rng.randrange(len(filler_bodies) + 1)
     before_bodies = filler_bodies[:pos] + [before_fn] + filler_bodies[pos:]
@@ -298,12 +301,10 @@ def vulnerable_file(
         if role == "F" and k not in _RESERVED and k not in defined
     )
     return GeneratedFile(
-        source=_render_file(list(includes), before_bodies),
-        fixed_source=_render_file(list(includes), after_bodies),
+        source=_render_file(includes, before_bodies),
+        fixed_source=_render_file(includes, after_bodies),
         roles=roles,
-        external_calls=frozenset(calls),
         defined_functions=tuple(defined) + (vuln_name,),
-        includes=includes,
     )
 
 

@@ -126,21 +126,6 @@ def test_idempotent_on_own_output():
     tokens, _ = _abstract_source(DEV_LOAD)
     again, _ = _abstract_source(" ".join(tokens))
     assert again == tokens
-    seeded = IdMap()
-    seeded.seed_identity(tokens)
-    again2, _ = _abstract_source(" ".join(tokens), shared=seeded)
-    assert again2 == tokens
-
-
-def test_seeded_map_handles_sparse_ids():
-    # a stream whose IDs are not dense from 1, as the after-side of a
-    # shared map can produce
-    src = "void F_3 ( void ) { V_2 = V_2 + 1 ; }"
-    seeded = IdMap()
-    seeded.seed_identity(src.split())
-    tokens, idmap = _abstract_source(src, shared=seeded)
-    assert " ".join(tokens) == src
-    assert idmap.counters["V"] == 3 and idmap.counters["F"] == 4
 
 
 def test_vocabulary_bound(igmp_pair):

@@ -18,7 +18,7 @@ import pytest
 from vulnseq.abstraction import abstract_function
 from vulnseq.baselines import Technique, run_baseline
 from vulnseq.cli import _PROFILES, main
-from vulnseq.corpus import clean_training_set, load_corpus, realistic_training_set, save_corpus
+from vulnseq.corpus import clean_training_set, load_corpus, save_corpus, training_material
 from vulnseq.cparse import extract_functions, tokenize
 from vulnseq.evaluate import (
     ConfusionMatrix,
@@ -198,7 +198,9 @@ def test_criterion_6_realistic_is_strict_subset_of_clean():
     n = len(corpus.releases)
     for i in range(n - 1):
         clean_paths = {c.path for c in clean_training_set(corpus, i).fix_pairs}
-        realistic_paths = {c.path for c in realistic_training_set(corpus, i).fix_pairs}
+        realistic_paths = {
+            c.path for c in training_material(corpus, i, Setting.REALISTIC).fix_pairs
+        }
         assert realistic_paths < clean_paths, i
 
     tiny = ModelConfig(
@@ -258,7 +260,7 @@ def test_criterion_8_pipeline_byte_determinism(tmp_path):
                      "--hidden-units", "16", "--embedding-dim", "16",
                      "--max-steps", "200", "--iteration-steps", "100",
                      "-o", str(ckpt)]) == 0
-        assert main(["evaluate", "-i", str(corpus), "--seed", "21", "--jobs", "1",
+        assert main(["evaluate", "-i", str(corpus), "--seed", "21",
                      "--hidden-units", "16", "--embedding-dim", "16",
                      "--max-steps", "200", "--iteration-steps", "100",
                      "-o", str(report)]) == 0

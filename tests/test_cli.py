@@ -124,19 +124,6 @@ def test_train_then_predict_cycle(corpus_file, tmp_path):
         assert row["vulnerable"] == bool(row["modified"])
 
 
-def test_predict_jobs_fanout_matches_sequential(corpus_file, tmp_path):
-    ckpt = tmp_path / "m.ckpt"
-    assert main(["train", "-i", str(corpus_file), "--release", "0",
-                 *TINY_MODEL_FLAGS, "-o", str(ckpt)]) == 0
-    seq = tmp_path / "seq.jsonl"
-    par = tmp_path / "par.jsonl"
-    assert main(["predict", "-m", str(ckpt), "-i", str(corpus_file),
-                 "--release", "1", "-o", str(seq)]) == 0
-    assert main(["predict", "-m", str(ckpt), "-i", str(corpus_file),
-                 "--release", "1", "--jobs", "2", "-o", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_profile_and_flag_precedence(corpus_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"profile": "desk", "model": {"hidden_units": 12}}))
@@ -182,6 +169,12 @@ def test_bad_config_file_is_a_usage_error(corpus_file, tmp_path, capsys):
     code = main(["train", "-i", str(corpus_file), "--release", "0",
                  "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
     assert code == 1
+
+    cfg.write_text(json.dumps({"pairing": {"non_vuln_ratio": "5"}}))
+    code = main(["train", "-i", str(corpus_file), "--release", "0",
+                 "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
+    assert code == 1
+    assert "non_vuln_ratio must be a number" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_one(capsys):
@@ -253,17 +246,105 @@ def test_bad_baseline_settings_exit_one(flags, corpus_file, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate"])
-def test_jobs_below_one_is_rejected(command, corpus_file, tmp_path, capsys):
-    args = {
-        "predict": ["-m", str(tmp_path / "unused.ckpt"), "--release", "1"],
-        "evaluate": [],
-    }[command]
-    code = main([command, "-i", str(corpus_file), *args, "--jobs", "0",
-                 "-o", str(tmp_path / "out")])
-    assert code == 1
-    assert "--jobs" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def _run_with_config(argv, config, tmp_path):
+    """main(argv), plus --config naming a file that holds config when given."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    return main(argv)
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, message",
+    [
+        ("predict", ["-m", "unused.ckpt", "--release", "1", "--jobs", "1"], None,
+         "unrecognized arguments: --jobs"),
+        ("evaluate", ["--jobs", "1"], None, "unrecognized arguments: --jobs"),
+        ("train", ["--release", "0", "--max-decode-length", "64"], None,
+         "unrecognized arguments: --max-decode-length"),
+        ("evaluate", ["--max-decode-length", "64"], None,
+         "unrecognized arguments: --max-decode-length"),
+        ("train", ["--release", "0"], '{"model": {"max_decode_length": 64}}',
+         "unknown model config key: max_decode_length"),
+    ],
+    ids=["predict-jobs", "evaluate-jobs", "train-max-decode-length",
+         "evaluate-max-decode-length", "config-max-decode-length"],
+)
+def test_removed_settings_are_unrecognised(command, flags, config, message,
+                                           corpus_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "-i", str(corpus_file), *flags, "-o", str(out)]
+    assert _run_with_config(argv, config, tmp_path) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("pair", ["--release", "0", "--ratio", "nan"], None),
+        ("pair", ["--release", "0", "--ratio", "inf"], None),
+        ("train", ["--release", "0", "--max-steps", "0", "--ratio", "nan"], None),
+        ("evaluate", ["--max-steps", "0", "--ratio", "nan"], None),
+        ("train", ["--release", "0", "--max-steps", "0"],
+         '{"pairing": {"non_vuln_ratio": NaN}}'),
+    ],
+    ids=["pair-nan", "pair-inf", "train-nan", "evaluate-nan", "config-nan"],
+)
+def test_non_finite_ratio_exits_one(command, flags, config, corpus_file, tmp_path,
+                                    capsys):
+    out = tmp_path / "out"
+    argv = [command, "-i", str(corpus_file), *flags, "-o", str(out)]
+    assert _run_with_config(argv, config, tmp_path) == 1
+    assert "non_vuln_ratio must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--learning-rate", "nan"], None, "learning_rate must be finite"),
+        (["--clip-norm", "inf"], None, "clip_norm must be finite"),
+        ([], '{"model": {"clip_norm": NaN}}', "clip_norm must be finite"),
+        ([], '{"model": {"learning_rate": Infinity}}', "learning_rate must be finite"),
+    ],
+    ids=["learning-rate-flag", "clip-norm-flag", "clip-norm-config",
+         "learning-rate-config"],
+)
+def test_non_finite_model_settings_exit_one(flags, config, message, corpus_file,
+                                            tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "-i", str(corpus_file), "--release", "0", *flags,
+            "--max-steps", "1", "--iteration-steps", "1", "--holdout", "0",
+            "-o", str(ckpt)]
+    assert _run_with_config(argv, config, tmp_path) == 1
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("skew", ["nan", "inf"])
+def test_non_finite_skew_exits_one(skew, tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert main(["synth", "--skew", skew, "-o", str(out)]) == 1
+    assert "vocabulary_skew must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_too_steep_skew_exits_one_instead_of_hanging(tmp_path):
+    # a subprocess, so that a regression to an endless redraw fails here
+    # instead of hanging the test run
+    out = tmp_path / "c.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vulnseq.cli", "synth", "--skew", "60",
+         "--shared-names", "-o", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "no unused identifier after 100000 draws" in proc.stderr
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -16,7 +16,6 @@ from vulnseq.corpus import (
     clean_training_set,
     corpus_to_jsonl,
     load_corpus,
-    realistic_training_set,
     save_corpus,
     training_material,
 )
@@ -179,7 +178,7 @@ def test_last_release_has_no_experiment():
     with pytest.raises(ConfigError):
         clean_training_set(corpus, 1)
     with pytest.raises(ConfigError):
-        realistic_training_set(corpus, 1)
+        training_material(corpus, 1, Setting.REALISTIC)
     with pytest.raises(ConfigError):
         clean_training_set(corpus, -1)
 
@@ -191,7 +190,7 @@ def test_realistic_excludes_late_detection():
             ("early.c", [("CVE-2", D(2020, 2, 1))]),
         ]
     )
-    material = realistic_training_set(corpus, 0)
+    material = training_material(corpus, 0, Setting.REALISTIC)
     assert [c.path for c in material.fix_pairs] == ["early.c"]
     # the late one is mislabeled, not dropped
     assert "late.c" in {c.path for c in material.non_vulnerable}
@@ -199,19 +198,19 @@ def test_realistic_excludes_late_detection():
 
 def test_realistic_tie_date_excluded():
     corpus = _two_release_corpus([("tie.c", [("CVE-1", D(2020, 4, 1))])])
-    assert realistic_training_set(corpus, 0).fix_pairs == ()
+    assert training_material(corpus, 0, Setting.REALISTIC).fix_pairs == ()
 
 
 def test_realistic_min_over_multiple_ids():
     corpus = _two_release_corpus(
         [("a.c", [("CVE-1", D(2020, 6, 1)), ("CVE-2", D(2020, 2, 2))])]
     )
-    assert [c.path for c in realistic_training_set(corpus, 0).fix_pairs] == ["a.c"]
+    assert [c.path for c in training_material(corpus, 0, Setting.REALISTIC).fix_pairs] == ["a.c"]
 
 
 def test_realistic_no_ids_means_undetected():
     corpus = _two_release_corpus([("a.c", [])])
-    material = realistic_training_set(corpus, 0)
+    material = training_material(corpus, 0, Setting.REALISTIC)
     assert material.fix_pairs == ()
     assert "a.c" in {c.path for c in material.non_vulnerable}
 
@@ -224,7 +223,7 @@ def test_realistic_equals_clean_when_all_early():
         ]
     )
     clean = clean_training_set(corpus, 0)
-    real = realistic_training_set(corpus, 0)
+    real = training_material(corpus, 0, Setting.REALISTIC)
     assert clean == real
 
 
@@ -244,7 +243,7 @@ def test_realistic_random_dates_match_oracle():
             if min(dates) < next_date:
                 expected.add(path)
         corpus = _two_release_corpus(specs, next_date)
-        got = {c.path for c in realistic_training_set(corpus, 0).fix_pairs}
+        got = {c.path for c in training_material(corpus, 0, Setting.REALISTIC).fix_pairs}
         assert got == expected
 
 
@@ -258,7 +257,7 @@ def test_realistic_subset_of_clean_on_synthetic():
         )
         for i in range(len(corpus.releases) - 1):
             clean = {c.path for c in clean_training_set(corpus, i).fix_pairs}
-            real = {c.path for c in realistic_training_set(corpus, i).fix_pairs}
+            real = {c.path for c in training_material(corpus, i, Setting.REALISTIC).fix_pairs}
             assert real <= clean
 
 
@@ -273,15 +272,124 @@ def test_still_vulnerable_component_trains_in_its_release():
     assert [c.path for c in clean_training_set(corpus, 0).fix_pairs] == ["a.c"]
 
 
-def test_training_material_dispatches_on_setting():
-    corpus = generate_synthetic_corpus(
-        5, SynthesisSpec(n_releases=3, components_per_release=12, detection_lag_days=120)
-    )
-    for i in range(len(corpus.releases) - 1):
-        assert training_material(corpus, i, Setting.CLEAN) == clean_training_set(corpus, i)
-        assert training_material(corpus, i, Setting.REALISTIC) == realistic_training_set(
-            corpus, i
+# The two splits as they stood before training_material became the only
+# one, kept verbatim (the linear vulnerability lookup inlined) as the oracle.
+def _oracle_check_release_index(corpus, release_index):
+    # the last release has no following release to test against
+    if not 0 <= release_index < len(corpus.releases) - 1:
+        raise ConfigError(
+            f"release index {release_index} out of range: corpus has "
+            f"{len(corpus.releases)} releases, so valid train indices are "
+            f"0..{len(corpus.releases) - 2}"
         )
+
+
+def _oracle_vulnerability(corpus, vuln_id):
+    for rec in corpus.vulnerabilities:
+        if rec.vuln_id == vuln_id:
+            return rec
+    return None
+
+
+def _oracle_clean_training_set(corpus, release_index):
+    _oracle_check_release_index(corpus, release_index)
+    release = corpus.releases[release_index]
+    fix_pairs = []
+    non_vulnerable = []
+    for comp in release.components:
+        if comp.label is Label.VULNERABLE:
+            fix_pairs.append(comp)
+        else:
+            non_vulnerable.append(comp)
+    return TrainingMaterial(release.name, tuple(fix_pairs), tuple(non_vulnerable))
+
+
+def _oracle_realistic_training_set(corpus, release_index):
+    _oracle_check_release_index(corpus, release_index)
+    release = corpus.releases[release_index]
+    next_date = corpus.releases[release_index + 1].release_date
+    fix_pairs = []
+    treated_non_vulnerable = []
+    for comp in release.components:
+        if comp.label is Label.NON_VULNERABLE:
+            treated_non_vulnerable.append(comp)
+            continue
+        dates = []
+        for vid in comp.vuln_ids:
+            rec = _oracle_vulnerability(corpus, vid)
+            if rec is None:
+                raise IntegrityError(
+                    f"component {comp.path!r} references unknown {vid!r}"
+                )
+            dates.append(rec.detection_date)
+        if dates and min(dates) < next_date:
+            fix_pairs.append(comp)
+        else:
+            treated_non_vulnerable.append(comp)
+    return TrainingMaterial(
+        release.name, tuple(fix_pairs), tuple(treated_non_vulnerable)
+    )
+
+
+_ORACLES = {
+    Setting.CLEAN: _oracle_clean_training_set,
+    Setting.REALISTIC: _oracle_realistic_training_set,
+}
+
+
+def _outcome(split, *args):
+    """The split's result, or the type and message of what it raised."""
+    try:
+        return split(*args)
+    except (ConfigError, IntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_oracle(corpus):
+    for setting, oracle in _ORACLES.items():
+        for i in range(-1, len(corpus.releases)):
+            assert _outcome(training_material, corpus, i, setting) == _outcome(
+                oracle, corpus, i
+            )
+
+
+def test_training_material_dispatches_on_setting():
+    for seed in range(24):
+        for lag in (0, 30, 95, 400):
+            for carryover in (0.0, 0.34, 0.9):
+                spec = SynthesisSpec(
+                    n_releases=5,
+                    components_per_release=12,
+                    detection_lag_days=lag,
+                    carryover_fraction=carryover,
+                )
+                _assert_matches_oracle(generate_synthetic_corpus(seed, spec))
+
+
+def test_training_material_matches_oracle_on_edge_cases():
+    unknown = _two_release_corpus([("a.c", [("CVE-1", D(2020, 2, 1))])])
+    r0 = unknown.releases[0]
+    stray = _component("x.c", vuln=True, vuln_ids=("CVE-1", "CVE-404"), tag="x")
+    unknown = Corpus(
+        "demo",
+        (Release("r0", r0.release_date, r0.components + (stray,)), unknown.releases[1]),
+        unknown.vulnerabilities,
+    )
+    with pytest.raises(IntegrityError, match="references unknown 'CVE-404'"):
+        training_material(unknown, 0, Setting.REALISTIC)
+    no_record = _two_release_corpus([("a.c", []), ("b.c", [("CVE-1", D(2020, 2, 1))])])
+    mixed = _two_release_corpus(
+        [
+            ("early-first.c", [("CVE-1", D(2020, 3, 31)), ("CVE-2", D(2020, 9, 1))]),
+            ("late-first.c", [("CVE-3", D(2020, 4, 2)), ("CVE-4", D(2020, 1, 2))]),
+            ("tie-and-late.c", [("CVE-5", D(2020, 4, 1)), ("CVE-6", D(2021, 1, 1))]),
+            ("all-late.c", [("CVE-7", D(2020, 5, 1)), ("CVE-8", D(2020, 6, 1))]),
+        ]
+    )
+    for corpus in (unknown, no_record, mixed):
+        _assert_matches_oracle(corpus)
+    real = training_material(mixed, 0, Setting.REALISTIC)
+    assert [c.path for c in real.fix_pairs] == ["early-first.c", "late-first.c"]
 
 
 def test_material_is_plain_data():

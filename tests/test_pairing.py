@@ -285,7 +285,7 @@ def test_igmp_unchanged_function_contributes_only_identities():
     )
 
 
-@pytest.mark.parametrize("ratio", [0, -1, -0.5])
+@pytest.mark.parametrize("ratio", [0, -1, -0.5, float("nan"), float("inf"), float("-inf")])
 def test_nonpositive_ratio_rejected(ratio):
-    with pytest.raises(ConfigError):
-        build_training_pairs([_vuln_lf(0)], PairingConfig(non_vuln_ratio=ratio))
+    with pytest.raises(ConfigError, match="non_vuln_ratio must be positive and finite"):
+        PairingConfig(non_vuln_ratio=ratio)

@@ -380,6 +380,10 @@ def test_validation_config_invariants():
         ModelConfig(decoder_layers=3).validate()
     with pytest.raises(ConfigError):
         ModelConfig(learning_rate=-0.1).validate()
+    for name in ("learning_rate", "clip_norm"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                ModelConfig(**{name: value}).validate()
     ModelConfig().validate()
 
 

@@ -124,11 +124,23 @@ def test_fixed_component_keeps_guarded_source():
         {"detection_lag_days": -1},
         {"carryover_fraction": 1.0},
         {"vocabulary_skew": -0.5},
+        {"vocabulary_skew": float("nan")},
+        {"vocabulary_skew": float("inf")},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigError):
         generate_synthetic_corpus(1, SynthesisSpec(**kwargs))
+
+
+def test_steepest_finite_skew_keeps_only_the_first_word():
+    # 30**300 overflows a float; every word but the first gets weight 0
+    corpus = generate_synthetic_corpus(1, SynthesisSpec(vocabulary_skew=300.0))
+    assert "frame_frame_" in corpus.releases[0].components[0].source
+    with pytest.raises(ConfigError, match="no unused identifier"):
+        generate_synthetic_corpus(
+            1, SynthesisSpec(vocabulary_skew=300.0, name_suffixes=False)
+        )
 
 
 def test_template_round_trip_and_function_names():
