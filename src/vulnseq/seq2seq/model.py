@@ -59,6 +59,8 @@ class ModelConfig:
             raise ConfigError("only a 2-layer decoder is supported")
         if self.max_decode_length < 52:
             raise ConfigError("max_decode_length must be >= 52")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
 
 
 # Declared tensor order; checkpoints and gradient walks follow it.

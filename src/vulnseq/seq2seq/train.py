@@ -1,15 +1,29 @@
 """Teacher-forced training with hand-written backpropagation.
 
 The loss for a batch is the mean over pairs of each pair's mean token
-cross-entropy, so padding one batch differently can never change the
-number. Optimization is plain gradient descent with global-norm clipping.
-Every run is a pure function of (pairs, config): shuffling, init, and the
-holdout split all come from seeded generators.
+cross-entropy, so it depends neither on the order of the pairs nor on
+how long the other pairs are. Optimization is plain gradient descent with global-norm
+clipping. Every run is a pure function of (pairs, config): shuffling,
+init, and the holdout split all come from seeded generators.
+
+A training step works on packed, time-major arrays (cf. the variable
+length batching of cuDNN's RNN kernels, arXiv:1604.01946). The rows of a
+batch are sorted longest first, ties kept in batch order: the encoder's
+by input length, the decoder's by target length + 1 (the EOS step). The
+rows still running at step t are then a prefix of k[t] rows, stored at
+rows off[t] to off[t] + k[t] of arrays with one row per real token, so
+every recurrence, projection, softmax and gradient GEMM runs over real
+tokens only and no loop holds a mask. The encoder's backward direction
+reads each row reversed within its own length, so both directions share
+k[t]. Inference (``greedy_reproduces``, ``decode_greedy``) keeps the
+right-padded, masked layout of ``model._encode_batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,15 +33,11 @@ from .model import (
     ModelConfig,
     Seq2SeqModel,
     _bridge,
-    _encoder_steps,
     _encoder_weights,
-    _lstm_forward,
-    _new_trace,
-    _project,
     greedy_reproduces,
     init_model,
 )
-from .vocab import EOS, PAD, SOS, Vocabulary, build_vocabulary
+from .vocab import EOS, SOS, Vocabulary, build_vocabulary
 
 
 @dataclass
@@ -41,51 +51,142 @@ def vocabulary_from_pairs(pairs: list[TrainingPair], min_count: int = 1) -> Voca
     return build_vocabulary(seqs, min_count)
 
 
-def _arrays(batch: list[TrainingPair], vocab: Vocabulary):
-    enc = [vocab.encode(p.input.tokens) for p in batch]
-    tgt = [vocab.encode(p.target.tokens) for p in batch]
-    t_in = max(len(s) for s in enc)
-    if t_in == 0:
-        raise ShapeError("batch contains an empty input sequence")
-    t_out = max(len(s) for s in tgt) + 1  # room for EOS
-    n = len(batch)
-    enc_ids = np.full((n, t_in), PAD, dtype=np.int64)
-    enc_mask = np.zeros((n, t_in))
-    dec_in = np.full((n, t_out), PAD, dtype=np.int64)
-    dec_tgt = np.full((n, t_out), PAD, dtype=np.int64)
-    dec_mask = np.zeros((n, t_out))
-    for b, (e, t) in enumerate(zip(enc, tgt)):
-        enc_ids[b, : len(e)] = e
-        enc_mask[b, : len(e)] = 1.0
-        dec_in[b, 0] = SOS
-        dec_in[b, 1 : len(t) + 1] = t
-        dec_tgt[b, : len(t)] = t
-        dec_tgt[b, len(t)] = EOS
-        dec_mask[b, : len(t) + 1] = 1.0
-    return enc_ids, enc_mask, dec_in, dec_tgt, dec_mask
+class _Packing(NamedTuple):
+    """A batch's rows sorted longest first and packed time-major.
+
+    ``order[j]`` is the batch row that sorted row j holds; ties keep batch
+    order. The rows still running at step t are then the first
+    ``k[t]``, and a packed array holds them at rows ``off[t]`` to
+    ``off[t] + k[t]``: N = Σ lengths rows, none of them padding. Packed row
+    p is sorted row ``row[p]`` at step ``step[p]``. A trace of states puts
+    the B initial states in front of the N after each step, so the state
+    before packed row p is trace row ``prev[p]`` and sorted row j's final
+    state is trace row ``last[j]``.
+    """
+
+    order: np.ndarray
+    lengths: np.ndarray
+    k: list[int]
+    off: list[int]
+    row: np.ndarray
+    step: np.ndarray
+    prev: np.ndarray
+    last: np.ndarray
 
 
-def _lstm_backward(Z, trace, U, dh, dc, dH=None, mask=None):
-    """Backpropagate through an _lstm_forward run from the gates it left in Z.
+def _pack(lengths: list[int]) -> _Packing:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b = len(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    ls = lengths[order]
+    # ls falls, so the rows longer than t are a prefix: count them
+    k = np.searchsorted(-ls, -np.arange(ls[0]), side="left")
+    off = np.concatenate([[0], np.cumsum(k)])
+    step = np.repeat(np.arange(len(k)), k)
+    row = np.arange(off[-1]) - off[step]
+    # trace row of the state before step t: the initial block, then step t-1's
+    before = np.concatenate([[0], b + off[:-1]])
+    return _Packing(
+        order=order,
+        lengths=ls,
+        k=k.tolist(),
+        off=off[:-1].tolist(),
+        row=row,
+        step=step,
+        prev=before[step] + row,
+        last=before[ls] + np.arange(b),
+    )
 
-    dh and dc are the loss gradients at the final state; dH (..., T, B, n),
-    if given, holds those reaching each step's hidden state from outside
-    the layer. Each step's slot of Z ends up holding that step's
+
+def _packed_ids(packing: _Packing, seqs: list[list[int]], reverse: bool = False):
+    """The id each packed row reads from seqs, given in batch order.
+
+    With reverse, a row reads its own sequence backwards: step t takes
+    position length - 1 - t, so no row ever reads padding.
+    """
+    ls = packing.lengths
+    flat = np.fromiter(
+        chain.from_iterable(seqs[b] for b in packing.order), dtype=np.int64, count=ls.sum()
+    )
+    start = np.cumsum(ls) - ls
+    at = ls[packing.row] - 1 - packing.step if reverse else packing.step
+    return flat[start[packing.row] + at]
+
+
+def _packed_lstm_forward(Z, h, c, U, packing: _Packing):
+    """Run an LSTM layer over packed input projections.
+
+    Z (..., N, 4n) holds x·W + b for every packed row; leading axes stack
+    independent layers that run in lockstep over the same packing, with U
+    (..., n, 4n) and the initial h, c (..., B, n) stacked to match. Step t
+    adds h·U to its k[t] rows of Z and overwrites them with the gate
+    activations (i, f, g, o), one tanh for all four. The gates' input
+    scaling is applied to Z and U up front; scaling by 0.5 is exact, so
+    this changes no bit. Returns the trace (Hs, Cs, TC): Hs and
+    Cs (..., B + N, n) hold the initial states, then the state after each
+    packed row, and TC (..., N, n) tanh of each new cell state, which is
+    what backpropagation reads.
+    """
+    n = U.shape[-2]
+    b = h.shape[-2]
+    # a·tanh(a·z) + shift is sigmoid(z) = 0.5·(1 + tanh(z/2)) where a is
+    # 0.5 (i, f, o) and tanh(z) where a is 1 (g); the factors are
+    # full-shape, as a broadcast row would cost numpy more per call
+    a = np.full(h.shape[:-1] + (4 * n,), 0.5)
+    a[..., 2 * n : 3 * n] = 1.0
+    shift = 1.0 - a
+    Z *= a[..., :1, :]
+    U = U * a[..., :1, :]
+    Hs = np.empty(Z.shape[:-2] + (b + Z.shape[-2], n))
+    Cs = np.empty_like(Hs)
+    TC = np.empty(Z.shape[:-1] + (n,))
+    Hs[..., :b, :] = h
+    Cs[..., :b, :] = c
+    before = 0
+    for start, k in zip(packing.off, packing.k):
+        z = Z[..., start : start + k, :]
+        z += Hs[..., before : before + k, :] @ U
+        np.tanh(z, out=z)
+        z *= a[..., :k, :]
+        z += shift[..., :k, :]
+        after = b + start
+        c_new = np.multiply(
+            z[..., n : 2 * n], Cs[..., before : before + k, :], out=Cs[..., after : after + k, :]
+        )
+        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
+        np.multiply(
+            z[..., 3 * n :],
+            np.tanh(c_new, out=TC[..., start : start + k, :]),
+            out=Hs[..., after : after + k, :],
+        )
+        before = after
+    return Hs, Cs, TC
+
+
+def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
+    """Backpropagate through a _packed_lstm_forward run from the gates in Z.
+
+    dh and dc (..., B, n) hold the loss gradients at each sorted row's
+    final state. A row's final state is read only after its last step, so
+    its gradient waits in its slot of dh and dc until the loop reaches that
+    step; the loop then keeps each row's running gradient there, and on
+    return they hold the gradients at the initial states. dH (..., N, n),
+    if given, holds the gradients reaching each packed row's hidden state
+    from outside the layer. Each packed row of Z ends up holding its
     pre-activation gradient dz, so the caller forms the weight gradients
-    after the loop. The trace is consumed. Returns the gradients at the
-    initial state.
+    after the loop. The trace is consumed.
     """
     _, Cs, TC = trace
     n = U.shape[-2]
     # Everything in dz that does not depend on dh or dc is computed for all
-    # steps at once, in the buffers it replaces: Z's gate slots take
+    # rows at once, in the buffers it replaces: Z's gate slots take
     #   [g·i(1-i), c_prev·f(1-f), i(1-g²), tanh(c)·o(1-o)],
     # the first three scaled in the loop by the cell-state gradient dct and
-    # the last by dh; TC takes o(1 - tanh²(c)), dct's factor on dh; and the
-    # c_prev slots of Cs take f, which carries dct back to c_prev.
+    # the last by dh; TC takes o(1 - tanh²(c)), dct's factor on dh; and F,
+    # gathered as each row's c_prev, takes f, which carries dct back to it.
     gates = Z.reshape(Z.shape[:-1] + (4, n))
     i, f, g, o = (gates[..., k, :] for k in range(4))
-    c_prev = Cs[..., :-1, :, :]
+    F = Cs[..., packing.prev, :]
     tmp = 1.0 - o
     tmp *= o
     tmp *= TC  # tanh(c)·o(1-o)
@@ -95,8 +196,8 @@ def _lstm_backward(Z, trace, U, dh, dc, dH=None, mask=None):
     o[...] = tmp
     np.subtract(1.0, f, out=tmp)
     tmp *= f
-    tmp *= c_prev  # c_prev·f(1-f)
-    c_prev[...] = f
+    tmp *= F  # c_prev·f(1-f)
+    F[...] = f
     f[...] = tmp
     np.subtract(1.0, i, out=tmp)
     tmp *= i
@@ -108,111 +209,114 @@ def _lstm_backward(Z, trace, U, dh, dc, dH=None, mask=None):
     del tmp
 
     UT = np.ascontiguousarray(np.swapaxes(U, -1, -2))
-    for t in range(Z.shape[-3] - 1, -1, -1):
+    for start, k in zip(reversed(packing.off), reversed(packing.k)):
+        rows = slice(start, start + k)
+        dh_t = dh[..., :k, :]
         if dH is not None:
-            dh = dh + dH[..., t, :, :]
-        dct = dh * TC[..., t, :, :]
-        dct += dc
-        z = gates[..., t, :, :, :]
+            dh_t += dH[..., rows, :]
+        dct = dh_t * TC[..., rows, :]
+        dct += dc[..., :k, :]
+        z = gates[..., rows, :, :]
         z[..., :3, :] *= dct[..., None, :]
-        z[..., 3, :] *= dh
-        dc_prev = dct * Cs[..., t, :, :]
-        dz = Z[..., t, :, :]
-        if mask is None:
-            dh, dc = dz @ UT, dc_prev
-        else:
-            m = mask[..., t, :, :]
-            dz *= m
-            dh = np.where(m, dz @ UT, dh)
-            dc = np.where(m, dc_prev, dc)
+        z[..., 3, :] *= dh_t
+        np.multiply(dct, F[..., rows, :], out=dc[..., :k, :])
+        np.matmul(Z[..., rows, :], UT, out=dh_t)
     return dh, dc
 
 
-def _flat(a):
-    """Merge the step and row axes: (..., T, B, k) -> (..., T*B, k)."""
-    return a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
-
-
-def _layer_grads(X, Hs, dZ, W):
+def _layer_grads(X, trace, dZ, W, packing: _Packing):
     """dW, dU, db and the input gradient of a layer, one GEMM or sum each.
 
-    X is the layer's input at every step, Hs its traced hidden states and
-    dZ the per-step pre-activation gradients left by _lstm_backward; the
-    input gradient comes back flat, (..., T*B, d).
+    X is the layer's packed input, trace its _packed_lstm_forward trace
+    and dZ the per-row pre-activation gradients left by
+    _packed_lstm_backward. The states before each row, which dU pairs with
+    dZ, are one gather.
     """
-    dZ = _flat(dZ)
-    dW = np.swapaxes(_flat(X), -1, -2) @ dZ
-    dU = np.swapaxes(_flat(Hs[..., :-1, :, :]), -1, -2) @ dZ
+    H_in = trace[0][..., packing.prev, :]
+    dW = np.swapaxes(X, -1, -2) @ dZ
+    dU = np.swapaxes(H_in, -1, -2) @ dZ
     return dW, dU, dZ.sum(axis=-2), dZ @ np.swapaxes(W, -1, -2)
 
 
 def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     """Full forward/backward over one batch. Returns (loss, grads).
 
-    Every layer projects its inputs for all steps with one GEMM before its
+    Every recurrence runs over packed rows (see _Packing): the encoder's
+    rows sorted by input length, the decoder's by target length + 1, so
+    the rows still running at step t are a prefix of k[t] rows and no
+    array, GEMM or loop step touches padding. The encoder's backward
+    direction reads each row reversed within its own length, so both
+    directions share k[t] and run as one stacked recurrence; a row's final
+    state is gathered at its last step and permuted into decoder order.
+    Every layer projects its inputs for all rows with one GEMM before its
     time loop, so the loops hold only h·U and the cell update; backward
     defers each layer's weight gradients to one GEMM over its stacked dz.
-    Arrays are step-major, (T, B, ...).
     """
+    if not batch:
+        raise ConfigError("empty batch")
     p = model.params
-    enc_ids, enc_mask, dec_in, dec_tgt, dec_mask = _arrays(batch, model.vocabulary)
+    vocab = model.vocabulary
+    enc = [vocab.encode(pair.input.tokens) for pair in batch]
+    tgt = [vocab.encode(pair.target.tokens) for pair in batch]
     n = len(batch)
-    h_units = model.config.hidden_units
     grads: dict[str, np.ndarray] = {}
+    pe = _pack([len(s) for s in enc])
+    if pe.lengths[0] == 0:
+        raise ShapeError("batch contains an empty input sequence")
+    pd = _pack([len(s) + 1 for s in tgt])  # room for EOS
+    # decoder row j reads the final encoder states of encoder row perm[j]
+    rank = np.empty(n, dtype=np.int64)
+    rank[pe.order] = np.arange(n)
+    perm = rank[pd.order]
 
     # ---- encoder forward: both directions as one stacked recurrence
-    enc_steps, enc_step_mask = _encoder_steps(enc_ids, enc_mask)
+    enc_ids = np.stack([_packed_ids(pe, enc), _packed_ids(pe, enc, reverse=True)])
     eW, eU, eb = _encoder_weights(p)
-    eX = p["embedding"][enc_steps]
-    eZ = _project(eX, eW, eb)
-    e_trace = _new_trace(eZ)
-    zeros = np.zeros((2, n, h_units))
-    h_fin, c_fin = _lstm_forward(eZ, zeros, zeros, eU, enc_step_mask, e_trace)
-    h_cat = np.concatenate(h_fin, axis=1)
-    c_cat = np.concatenate(c_fin, axis=1)
+    eX = p["embedding"][enc_ids]
+    eZ = eX @ eW
+    eZ += eb[:, None, :]
+    zeros = np.zeros((2, n, model.config.hidden_units))
+    e_trace = _packed_lstm_forward(eZ, zeros, zeros, eU, pe)
+    fin = pe.last[perm]
+    h_cat = np.concatenate(e_trace[0][:, fin], axis=1)
+    c_cat = np.concatenate(e_trace[1][:, fin], axis=1)
     init = _bridge(p, h_cat, c_cat)
 
     # ---- decoder forward (teacher forcing): layer 0 never reads layer 1,
     # so it runs over all steps first; layer 1's input projection and the
     # logits are then one GEMM each
+    dec_in = _packed_ids(pd, [[SOS, *s] for s in tgt])
+    dec_tgt = _packed_ids(pd, [[*s, EOS] for s in tgt])
     runs = []
-    x = p["embedding"][dec_in.T]
+    x = p["embedding"][dec_in]
     for k in range(2):
-        Z = _project(x, p[f"dec{k}_W"], p[f"dec{k}_b"])
-        trace = _new_trace(Z)
-        _lstm_forward(Z, *init[k], p[f"dec{k}_U"], trace=trace)
+        Z = x @ p[f"dec{k}_W"]
+        Z += p[f"dec{k}_b"]
+        trace = _packed_lstm_forward(Z, *init[k], p[f"dec{k}_U"], pd)
         runs.append((x, Z, trace))
-        x = trace[0][1:]
+        x = trace[0][n:]
     del Z, trace
     logits = x @ p["out_W"]
     logits += p["out_b"]
 
     # ---- loss: mean over pairs of per-pair mean token cross-entropy
-    tgt = dec_tgt.T[:, :, None]
-    mask = dec_mask.T
-    logits -= logits.max(axis=2, keepdims=True)
-    picked = np.take_along_axis(logits, tgt, axis=2)[:, :, 0]
+    packed = np.arange(len(dec_tgt))
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[packed, dec_tgt]
     probs = np.exp(logits, out=logits)
-    total = probs.sum(axis=2)
-    nll = (np.log(total) - picked) * mask
-    per_pair = nll.sum(axis=0) / mask.sum(axis=0)
-    loss = float(per_pair.mean())
+    total = probs.sum(axis=1)
+    nll = np.log(total) - picked
+    loss = float((np.bincount(pd.row, nll, n) / pd.lengths).mean())
 
     # ---- backward: the softmax buffer becomes dlogits in place
-    weight = mask / mask.sum(axis=0) / n
+    weight = (1.0 / pd.lengths)[pd.row] / n
     dlogits = probs
-    dlogits *= (weight / total)[:, :, None]
-    np.put_along_axis(
-        dlogits,
-        tgt,
-        np.take_along_axis(dlogits, tgt, axis=2) - weight[:, :, None],
-        axis=2,
-    )
-    flat_dlogits = _flat(dlogits)
-    grads["out_W"] = _flat(x).T @ flat_dlogits
-    grads["out_b"] = flat_dlogits.sum(axis=0)
+    dlogits *= (weight / total)[:, None]
+    dlogits[packed, dec_tgt] -= weight
+    grads["out_W"] = x.T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
     dx = dlogits @ p["out_W"].T
-    del logits, probs, dlogits, flat_dlogits
+    del logits, probs, dlogits
 
     # ---- decoder backward, top layer first; each layer's forward arrays
     # are freed once its weight gradients are out. Gradient reaches the
@@ -220,11 +324,11 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     d_init = [None, None]
     for k in (1, 0):
         x, Z, trace = runs.pop()
-        d_init[k] = _lstm_backward(Z, trace, p[f"dec{k}_U"], 0.0, 0.0, dx)
+        dh, dc = np.zeros((2, n, model.config.hidden_units))
+        d_init[k] = _packed_lstm_backward(Z, trace, p[f"dec{k}_U"], pd, dh, dc, dx)
         grads[f"dec{k}_W"], grads[f"dec{k}_U"], grads[f"dec{k}_b"], dx = _layer_grads(
-            x, trace[0], Z, p[f"dec{k}_W"]
+            x, trace, Z, p[f"dec{k}_W"], pd
         )
-        dx = dx.reshape(x.shape[:-1] + (-1,))
     del x, Z, trace
 
     # ---- bridge backward; collect gradients w.r.t. final encoder states
@@ -241,27 +345,26 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
             grads[f"bridge_{kind}{layer}_b"] = dpre.sum(axis=0)
             dcat += dpre @ p[f"bridge_{kind}{layer}_W"].T
 
-    # ---- encoder backward, both directions stacked like the forward
-    _lstm_backward(
-        eZ,
-        e_trace,
-        eU,
-        np.stack(np.split(dh_cat, 2, axis=1)),
-        np.stack(np.split(dc_cat, 2, axis=1)),
-        mask=enc_step_mask,
-    )
-    dW, dU, db, dXe = _layer_grads(eX, e_trace[0], eZ, eW)
+    # ---- encoder backward, both directions stacked like the forward; each
+    # row's final-state gradient goes back to its encoder slot
+    seeds = []
+    for dcat in (dh_cat, dc_cat):
+        seed = np.empty_like(zeros)
+        seed[:, perm] = np.stack(np.split(dcat, 2, axis=1))
+        seeds.append(seed)
+    _packed_lstm_backward(eZ, e_trace, eU, pe, *seeds)
+    dW, dU, db, dXe = _layer_grads(eX, e_trace, eZ, eW, pe)
     for d, direction in enumerate(("fwd", "bwd")):
         grads[f"enc_{direction}_W"] = dW[d]
         grads[f"enc_{direction}_U"] = dU[d]
         grads[f"enc_{direction}_b"] = db[d]
 
-    # ---- one embedding scatter for every decoder and encoder step; a
+    # ---- one embedding scatter for every decoder and encoder row; a
     # bincount over (id, column) cells sums rows in order, as np.add.at
     # would, at a fraction of its cost
     v, d = p["embedding"].shape
-    ids = np.concatenate([dec_in.T.ravel(), enc_steps.ravel()])
-    rows = np.concatenate([dx.reshape(-1, d), dXe.reshape(-1, d)])
+    ids = np.concatenate([dec_in, enc_ids.ravel()])
+    rows = np.concatenate([dx, dXe.reshape(-1, d)])
     cells = (ids[:, None] * d + np.arange(d)).ravel()
     grads["embedding"] = np.bincount(cells, rows.ravel(), v * d).reshape(v, d)
     return loss, {name: grads[name] for name in p}
@@ -274,8 +377,6 @@ def _global_norm(grads: dict[str, np.ndarray]) -> float:
 def train_step(
     batch: list[TrainingPair], model: Seq2SeqModel, state: TrainingState
 ) -> float:
-    if not batch:
-        raise ConfigError("empty batch")
     loss, grads = compute_loss_and_grads(model, batch)
     norm = _global_norm(grads)
     if not (np.isfinite(loss) and np.isfinite(norm)):

@@ -83,6 +83,18 @@ class SynthesisSpec:
             raise ConfigError("vocabulary_skew must be finite and non-negative")
         if self.detection_lag_days < 0:
             raise ConfigError("detection_lag_days must be non-negative")
+        # the last release's vulnerabilities may be detected the lag plus up
+        # to a quarter of it after its date, which must still be a date
+        latest = (
+            (self.n_releases - 1) * RELEASE_SPACING_DAYS
+            + self.detection_lag_days
+            + self.detection_lag_days // 4
+        )
+        if latest > (datetime.date.max - _FIRST_RELEASE).days:
+            raise ConfigError(
+                "n_releases and detection_lag_days put a detection date "
+                f"past {datetime.date.max}"
+            )
         if not 0.0 <= self.carryover_fraction < 1.0:
             raise ConfigError("carryover_fraction must be in [0, 1)")
 

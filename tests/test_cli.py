@@ -323,6 +323,38 @@ def test_non_finite_model_settings_exit_one(flags, config, message, corpus_file,
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("train", ["--release", "0", "--seed", "-1"], None),
+        ("evaluate", ["--seed", "-1"], None),
+        ("train", ["--release", "0"], '{"seed": -1}'),
+        ("evaluate", [], '{"seed": -1}'),
+    ],
+    ids=["train-flag", "evaluate-flag", "train-config", "evaluate-config"],
+)
+def test_negative_seed_exits_one(command, flags, config, corpus_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "-i", str(corpus_file), *flags, "--max-steps", "0", "-o", str(out)]
+    assert _run_with_config(argv, config, tmp_path) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The fourth release falls 2,914,715 days before date.max, and a lag L is
+# detected up to L + L // 4 days after its release.
+@pytest.mark.parametrize("lag, code", [(2_331_772, 0), (2_331_773, 1)])
+def test_detection_lag_may_reach_the_last_date(lag, code, tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    argv = ["synth", "--components", "5", "--detection-lag", str(lag), "-o", str(out)]
+    assert main(argv) == code
+    if code == 0:
+        assert len(load_corpus(str(out)).releases) == 4
+    else:
+        assert "put a detection date past 9999-12-31" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("skew", ["nan", "inf"])
 def test_non_finite_skew_exits_one(skew, tmp_path, capsys):
     out = tmp_path / "c.jsonl"

@@ -297,6 +297,9 @@ def test_train_step_increments_step_and_empty_batch_rejected():
     assert state.step == 1
     with pytest.raises(ConfigError):
         train_step([], model, state)
+    assert state.step == 1
+    with pytest.raises(ConfigError, match="empty batch"):
+        compute_loss_and_grads(model, [])
 
 
 def test_identity_batch_loss_strictly_decreases():

@@ -1,26 +1,54 @@
-"""The training step against its oracle, the per-step path it replaced.
+"""The training step against its oracle, a padded per-step path.
 
-``compute_loss_and_grads`` hoists every layer's input projection out of
-its time loop, stacks the two encoder directions and defers the weight
-gradients to one GEMM per layer. The oracle below is the earlier
-implementation, kept verbatim: it runs one ``_lstm_step`` per layer and
-timestep, with the piecewise sigmoid, a per-step backprop cache, and
-per-step weight-gradient GEMMs and embedding scatters. The two sum in a
-different order, so they agree to rounding, not bit for bit.
+``compute_loss_and_grads`` packs each batch time-major with its rows
+sorted longest first, so no array holds padding; it hoists every layer's
+input projection out of its time loop, stacks the two encoder directions
+and defers the weight gradients to one GEMM per layer. The oracle below
+is an earlier implementation, kept verbatim apart from its padded-batch
+builder ``_arrays``: it runs right-padded, masked (B, T) batches in batch
+order, one ``_lstm_step`` per layer and timestep, with the piecewise
+sigmoid, a per-step backprop cache, and per-step weight-gradient GEMMs
+and embedding scatters. The two sum in a different order, so they agree
+to rounding, not bit for bit.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnseq.abstraction import AbstractedSequence, SeqRole
 from vulnseq.pairing import PairKind, TrainingPair
 from vulnseq.seq2seq import ModelConfig, compute_loss_and_grads, init_model, vocabulary_from_pairs
 from vulnseq.seq2seq.model import Seq2SeqModel
-from vulnseq.seq2seq.train import _arrays
+from vulnseq.seq2seq.vocab import EOS, PAD, SOS
 
 # ---------------------------------------------------------------- oracle
+
+
+def _arrays(batch: list[TrainingPair], vocab):
+    """Right-padded (B, T) id arrays and masks for the encoder and decoder."""
+    enc = [vocab.encode(p.input.tokens) for p in batch]
+    tgt = [vocab.encode(p.target.tokens) for p in batch]
+    t_in = max(len(s) for s in enc)
+    t_out = max(len(s) for s in tgt) + 1  # room for EOS
+    n = len(batch)
+    enc_ids = np.full((n, t_in), PAD, dtype=np.int64)
+    enc_mask = np.zeros((n, t_in))
+    dec_in = np.full((n, t_out), PAD, dtype=np.int64)
+    dec_tgt = np.full((n, t_out), PAD, dtype=np.int64)
+    dec_mask = np.zeros((n, t_out))
+    for b, (e, t) in enumerate(zip(enc, tgt)):
+        enc_ids[b, : len(e)] = e
+        enc_mask[b, : len(e)] = 1.0
+        dec_in[b, 0] = SOS
+        dec_in[b, 1 : len(t) + 1] = t
+        dec_tgt[b, : len(t)] = t
+        dec_tgt[b, len(t)] = EOS
+        dec_mask[b, : len(t) + 1] = 1.0
+    return enc_ids, enc_mask, dec_in, dec_tgt, dec_mask
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -269,7 +297,19 @@ BATCHES = {
     "single 1-token input, empty target": lambda seed: _batch(seed, [(1, 0)]),
     "single 50-token input": lambda seed: _batch(seed, [(50, 50)]),
     "equal lengths": lambda seed: _batch(seed, [(12, 12)] * 4),
+    # the encoder and decoder sort the rows in opposite orders
+    "input order reverses target order": lambda seed: _batch(
+        seed, [(4, 40), (9, 31), (17, 20), (26, 12), (38, 3), (50, 0)]
+    ),
+    "tied lengths": lambda seed: _batch(
+        seed, [(8, 6), (3, 6), (8, 6), (8, 2), (3, 2), (3, 6)]
+    ),
+    "duplicate pairs": lambda seed: _duplicated(_batch(seed, [(11, 7), (5, 13), (20, 1)])),
 }
+
+
+def _duplicated(batch):
+    return batch + [batch[1], batch[0], batch[1]]
 
 
 def _model(batch, hidden, seed):
@@ -309,6 +349,26 @@ def test_batches_cover_the_ragged_cases():
     assert len(lengths) == 16 and lengths.min() == 1 and lengths.max() == 50
     assert len(set(lengths.tolist())) > 8
     assert dec_mask.sum(axis=1).min() == 1  # an empty target: EOS alone
+    batch = BATCHES["input order reverses target order"](0)
+    inputs = [len(p.input.tokens) for p in batch]
+    targets = [len(p.target.tokens) for p in batch]
+    assert inputs == sorted(set(inputs)) and targets == sorted(set(targets), reverse=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 20), st.integers(0, 20)), min_size=1, max_size=8)
+    .flatmap(lambda lengths: st.tuples(st.just(lengths), st.permutations(range(len(lengths)))))
+)
+def test_permuting_a_batch_keeps_its_loss_and_grads(case):
+    lengths, order = case
+    batch = _batch(0, lengths)
+    model = _model(batch, 32, 0)
+    loss, grads = compute_loss_and_grads(model, batch)
+    loss_p, grads_p = compute_loss_and_grads(model, [batch[i] for i in order])
+    assert abs(loss_p - loss) <= 1e-12 * abs(loss)
+    for key, g in grads.items():
+        assert np.abs(grads_p[key] - g).max() <= 1e-12 * np.abs(g).max(), key
 
 
 def test_grads_do_not_alias_parameters():
