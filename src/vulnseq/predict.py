@@ -8,13 +8,15 @@ out-of-vocabulary tokens the model echoes back as UNK do not count as
 modifications. A length mismatch, including early-EOS truncation, does.
 
 The model is not run chunk by chunk. All chunks of a release go through
-one teacher-forced identity check (``greedy_reproduces``): the decoder is
-fed ``[SOS] + chunk`` and a chunk counts as unchanged when the argmax at
-every step is the next chunk token and the step after the last token
-gives EOS. Greedy decoding feeds its own argmax back, so this holds
-exactly when ``decode_greedy(encode(chunk))`` returns the chunk; chunks
-hold at most 50 tokens and ``max_decode_length`` is at least 52, so the
-cap never cuts a chunk short.
+one teacher-forced identity check (``greedy_reproduces``), which runs
+each distinct chunk once, however many components hold it, and gives
+every copy its verdict: the decoder is fed ``[SOS] + chunk`` and a chunk
+counts as unchanged when the argmax at every step is the next chunk token
+and the step after the last token gives EOS. Greedy decoding feeds its
+own argmax back, so this holds exactly when
+``decode_greedy(encode(chunk))`` returns the chunk; chunks hold at most
+50 tokens and ``max_decode_length`` is at least 52, so the cap never
+cuts a chunk short.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Layout: magic, format version, canonical-JSON config, vocabulary table,
 parameter tensors as little-endian float64 in declared order, and a
-trailing sha256 over everything before it. A bad digest or truncation is
-corruption; a digest-valid file whose config, vocabulary, and tensor
-shapes disagree is a version problem.
+trailing sha256 over everything before it. A bad digest, truncation, or
+text that is not UTF-8 or JSON is corruption; a digest-valid file whose
+config fails ``ModelConfig.validate``, whose vocabulary holds a token
+twice, or whose config, vocabulary and tensor shapes disagree is a
+version problem.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import dataclasses
 import hashlib
 import json
 import struct
+import typing
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, VersionError
+from ..errors import ConfigError, CorruptCheckpoint, VersionError
 from ..fileio import atomic_write_bytes
 from .model import ModelConfig, Seq2SeqModel, parameter_shapes
 from .vocab import RESERVED_TOKENS, Vocabulary
@@ -46,7 +49,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpoint(f"string is not valid UTF-8: {exc}") from None
 
 
 def save_model(model: Seq2SeqModel, path: str) -> None:
@@ -70,6 +76,29 @@ def save_model(model: Seq2SeqModel, path: str) -> None:
     atomic_write_bytes(path, body + hashlib.sha256(body).digest())
 
 
+def _config(text: str) -> ModelConfig:
+    """The stored config, checked as strictly as one built in code."""
+    try:
+        fields = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorruptCheckpoint(f"config is not valid JSON: {exc}") from None
+    types = typing.get_type_hints(ModelConfig)
+    if not isinstance(fields, dict) or set(fields) != set(types):
+        raise VersionError("checkpoint config schema does not match")
+    for name, kind in types.items():
+        value = fields[name]
+        # bool is an int subclass, and a float field may hold an int
+        allowed = (int, float) if kind is float else (kind,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise VersionError(f"checkpoint config {name} must be {kind.__name__}, got {value!r}")
+    config = ModelConfig(**fields)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise VersionError(f"checkpoint config is invalid: {exc}") from None
+    return config
+
+
 def load_model(path: str) -> Seq2SeqModel:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -84,15 +113,13 @@ def load_model(path: str) -> Seq2SeqModel:
     version = r.u32()
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported checkpoint format version {version}")
-    config_fields = json.loads(r.string())
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    if set(config_fields) != known:
-        raise VersionError("checkpoint config schema does not match")
-    config = ModelConfig(**config_fields)
+    config = _config(r.string())
     n_tokens = r.u32()
     tokens = tuple(r.string() for _ in range(n_tokens))
     if tokens[: len(RESERVED_TOKENS)] != RESERVED_TOKENS:
         raise VersionError("vocabulary reserved entries do not match")
+    if len(set(tokens)) != len(tokens):
+        raise VersionError("vocabulary holds a token twice")
     vocabulary = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
     n_params = r.u32()
     params: dict[str, np.ndarray] = {}

@@ -6,6 +6,11 @@ states of a two-layer LSTM decoder, and a linear projection from the top
 decoder layer to vocabulary logits. Pure float64 numpy throughout; every
 random draw comes from one seeded generator so runs are reproducible
 bit-for-bit.
+
+``greedy_reproduces`` is the one "does greedy decoding give this target
+back?" check, for prediction and validation alike. Abstracted chunks
+repeat a lot, so it runs each distinct (input, target) row once and hands
+that verdict to every row that holds it.
 """
 
 from __future__ import annotations
@@ -335,29 +340,40 @@ def greedy_reproduces(
     the argmax at step L is EOS. A target longer than the cap, or holding
     EOS or an id outside the vocabulary, can never come out. Inputs are
     checked as ``encode`` checks them.
+
+    A verdict depends on its row's ids alone, so each distinct
+    ``(input, target)`` runs once, and every row holding it shares its
+    verdict.
     """
     if len(inputs) != len(targets):
         raise ShapeError("inputs and targets differ in length")
     check_parameter_shapes(model)
+    # the slot of each row's distinct (input, target), in first-seen order
+    distinct: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    slots = [
+        distinct.setdefault((tuple(i), tuple(t)), len(distinct))
+        for i, t in zip(inputs, targets)
+    ]
+    keys = list(distinct)
     v = model.vocabulary.size()
-    for input_ids in inputs:
+    for input_ids, _ in keys:
         _check_input_ids(input_ids, v)
     cap = model.config.max_decode_length
-    result = [False] * len(inputs)
-    rows = [
-        r
-        for r, target in enumerate(targets)
+    hits = [False] * len(keys)
+    todo = [
+        j
+        for j, (_, target) in enumerate(keys)
         if len(target) <= cap and all(0 <= i < v and i != EOS for i in target)
     ]
-    rows.sort(key=lambda r: (len(inputs[r]), len(targets[r])))
-    for start in range(0, len(rows), CHECK_BLOCK_ROWS):
-        block = rows[start : start + CHECK_BLOCK_ROWS]
-        hits = _reproduces_block(
-            model, [inputs[r] for r in block], [targets[r] for r in block]
+    todo.sort(key=lambda j: (len(keys[j][0]), len(keys[j][1])))
+    for start in range(0, len(todo), CHECK_BLOCK_ROWS):
+        block = todo[start : start + CHECK_BLOCK_ROWS]
+        found = _reproduces_block(
+            model, [keys[j][0] for j in block], [keys[j][1] for j in block]
         )
-        for r, hit in zip(block, hits):
-            result[r] = hit
-    return result
+        for j, hit in zip(block, found):
+            hits[j] = hit
+    return [hits[j] for j in slots]
 
 
 def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -339,6 +341,58 @@ def test_negative_seed_exits_one(command, flags, config, corpus_file, tmp_path, 
     assert _run_with_config(argv, config, tmp_path) == 1
     assert "seed must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+DESK_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ckpt"
+
+
+def _with_config(edit):
+    """The desk checkpoint's bytes with its config replaced by edit(config)
+    and the digest recomputed, so only the config is wrong."""
+    body = DESK_CKPT.read_bytes()[:-32]
+    (size,) = struct.unpack("<I", body[8:12])
+    config = edit(body[12 : 12 + size])
+    body = body[:8] + struct.pack("<I", len(config)) + config + body[12 + size :]
+    return body + hashlib.sha256(body).digest()
+
+
+def _set(name, value):
+    def edit(raw):
+        fields = json.loads(raw)
+        fields[name] = value
+        return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw.replace(b'{"', b"{", 1), "config is not valid JSON"),
+        (lambda raw: raw.replace(b"seed", b"s\xffed"), "not valid UTF-8"),
+        (lambda raw: b"0", "config schema does not match"),
+        (_set("max_decode_length", 10), "max_decode_length must be >= 52"),
+        (_set("hidden_units", "32"), "hidden_units must be int, got '32'"),
+        (_set("seed", True), "seed must be int, got True"),
+        (_set("learning_rate", "1.0"), "learning_rate must be float"),
+    ],
+    ids=["not-json", "not-utf8", "not-object", "short-decode-cap", "string-int",
+         "bool-int", "string-float"],
+)
+def test_checkpoint_with_a_bad_config_exits_one(edit, message, corpus_file, tmp_path, capsys):
+    ckpt, out = tmp_path / "bad.ckpt", tmp_path / "verdicts.jsonl"
+    ckpt.write_bytes(_with_config(edit))
+    argv = ["predict", "-m", str(ckpt), "-i", str(corpus_file), "--release", "2", "-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_checkpoint_config_may_hold_an_int_for_a_float(tmp_path):
+    ckpt = tmp_path / "int-rate.ckpt"
+    ckpt.write_bytes(_with_config(_set("learning_rate", 1)))
+    assert load_model(str(ckpt)).config.learning_rate == 1
 
 
 # The fourth release falls 2,914,715 days before date.max, and a lag L is

@@ -108,6 +108,69 @@ def test_validation_pairs_match_greedy_decoding(cases, block_rows, monkeypatch):
     assert seen == {True, False}
 
 
+def test_each_distinct_row_reaches_the_model_once(cases, monkeypatch):
+    received = []
+    block = model_module._reproduces_block
+
+    def spy(model, inputs, targets):
+        received.extend(zip(map(tuple, inputs), map(tuple, targets)))
+        return block(model, inputs, targets)
+
+    monkeypatch.setattr(model_module, "_reproduces_block", spy)
+    monkeypatch.setattr(model_module, "CHECK_BLOCK_ROWS", 5)
+    for corpus_seed, model_name, model, _, pairs in cases:
+        vocab = model.vocabulary
+        inputs = [vocab.encode(p.input.tokens) for p in pairs]
+        targets = [vocab.encode(p.target.tokens) for p in pairs]
+        # the same rows again, in reverse order, as lists of their own
+        inputs += [list(i) for i in reversed(inputs)]
+        targets += [list(t) for t in reversed(targets)]
+        rows = list(zip(map(tuple, inputs), map(tuple, targets)))
+        received.clear()
+        got = greedy_reproduces(model, inputs, targets)
+        assert sorted(received) == sorted(set(rows)), (corpus_seed, model_name)
+        assert got == _oracle(model, inputs, targets), (corpus_seed, model_name)
+
+
+def test_equal_inputs_with_different_targets_match_greedy_decoding(cases):
+    seen = set()
+    for corpus_seed, model_name, model, release, _ in cases:
+        rows = [r[2] for c in release.components for r in _component_rows(c, model.vocabulary)]
+        # every input against itself, the next row and a one-token edit
+        inputs, targets = [], []
+        for k, ids in enumerate(rows[:40]):
+            for target in (ids, rows[(k + 1) % len(rows)], ids[:-1] + [ids[-1] ^ 1]):
+                inputs.append(ids)
+                targets.append(target)
+        expected = _oracle(model, inputs, targets)
+        assert greedy_reproduces(model, inputs, targets) == expected, (corpus_seed, model_name)
+        seen.update(expected)
+    assert seen == {True, False}
+
+
+def test_release_with_repeated_chunks_matches_greedy_decoding(cases):
+    for corpus_seed, model_name, model, release, _ in cases:
+        twice = release.components + tuple(
+            dataclasses.replace(c, path=f"copy/{c.path}") for c in release.components
+        )
+        release = dataclasses.replace(release, components=twice)
+        chunks = [
+            tuple(r[2]) for c in release.components for r in _component_rows(c, model.vocabulary)
+        ]
+        assert len(set(chunks)) <= len(chunks) // 2
+        verdicts = predict_release(model, release)
+        for component, verdict in zip(release.components, verdicts):
+            rows = _component_rows(component, model.vocabulary)
+            ids = [r[2] for r in rows]
+            kept = _oracle(model, ids, ids)
+            modified = tuple((fn, chunk) for (fn, chunk, _), ok in zip(rows, kept) if not ok)
+            assert verdict.modified_sequences == modified, (corpus_seed, model_name, component.path)
+        half = len(verdicts) // 2
+        assert [v.modified_sequences for v in verdicts[:half]] == [
+            v.modified_sequences for v in verdicts[half:]
+        ]
+
+
 def test_unk_ids_match_greedy_decoding(cases):
     for _, _, model, release, _ in cases:
         rows = [r[2] for c in release.components for r in _component_rows(c, model.vocabulary)]

@@ -37,6 +37,7 @@ from vulnseq.seq2seq import (
     vocabulary_from_pairs,
 )
 from vulnseq.seq2seq.model import parameter_shapes
+from vulnseq.seq2seq.vocab import Vocabulary
 
 
 def _seq(tokens, name="f", chunk=0, role=SeqRole.NON_VULNERABLE):
@@ -478,3 +479,13 @@ def test_config_tensor_mismatch_is_a_version_error(tmp_path):
     path.write_bytes(patched + hashlib.sha256(patched).digest())
     with pytest.raises(VersionError):
         load_model(str(path))
+
+
+def test_vocabulary_holding_a_token_twice_is_a_version_error(tmp_path):
+    model = _tiny_model()
+    tokens = model.vocabulary.index_to_token
+    model.vocabulary = Vocabulary(tokens[:-1] + tokens[-2:-1], {})
+    path = str(tmp_path / "m.ckpt")
+    save_model(model, path)
+    with pytest.raises(VersionError, match="vocabulary holds a token twice"):
+        load_model(path)

@@ -12,6 +12,7 @@ and embedding scatters. The two sum in a different order, so they agree
 to rounding, not bit for bit.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -305,11 +306,26 @@ BATCHES = {
         seed, [(8, 6), (3, 6), (8, 6), (8, 2), (3, 2), (3, 6)]
     ),
     "duplicate pairs": lambda seed: _duplicated(_batch(seed, [(11, 7), (5, 13), (20, 1)])),
+    "16 copies of one pair": lambda seed: _batch(seed, [(13, 9)]) * 16,
+    "equal tokens, different kinds and paths": lambda seed: _relabelled(
+        _batch(seed, [(10, 6), (4, 15), (21, 21)])
+    ),
 }
 
 
 def _duplicated(batch):
     return batch + [batch[1], batch[0], batch[1]]
+
+
+def _relabelled(batch):
+    """batch, then its pairs again under every other kind and another path."""
+    out = list(batch)
+    for k, kind in enumerate(PairKind):
+        for pair in batch:
+            if kind is not pair.kind:
+                seq = dataclasses.replace(pair.input, source_path=f"q{k}.c", function_name="g")
+                out.append(dataclasses.replace(pair, input=seq, kind=kind))
+    return out
 
 
 def _model(batch, hidden, seed):
@@ -353,6 +369,11 @@ def test_batches_cover_the_ragged_cases():
     inputs = [len(p.input.tokens) for p in batch]
     targets = [len(p.target.tokens) for p in batch]
     assert inputs == sorted(set(inputs)) and targets == sorted(set(targets), reverse=True)
+    copies = BATCHES["16 copies of one pair"](0)
+    assert len(copies) == 16 and len({(p.input.tokens, p.target.tokens) for p in copies}) == 1
+    relabelled = BATCHES["equal tokens, different kinds and paths"](0)
+    assert len({(p.input.tokens, p.target.tokens) for p in relabelled}) == 3
+    assert len(set(relabelled)) == len(relabelled) == 9
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,6 +390,27 @@ def test_permuting_a_batch_keeps_its_loss_and_grads(case):
     assert abs(loss_p - loss) <= 1e-12 * abs(loss)
     for key, g in grads.items():
         assert np.abs(grads_p[key] - g).max() <= 1e-12 * np.abs(g).max(), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 20), st.integers(0, 20), st.integers(1, 4)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_repeated_rows_match_the_oracle(rows, rng):
+    distinct = _batch(0, [(a, b) for a, b, _ in rows])
+    batch = [pair for pair, (*_, m) in zip(distinct, rows) for _ in range(m)]
+    rng.shuffle(batch)
+    model = _model(batch, 32, 0)
+    loss, grads = compute_loss_and_grads(model, batch)
+    ref_loss, ref_grads = oracle_loss_and_grads(model, batch)
+    assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss)
+    for key, ref in ref_grads.items():
+        assert np.abs(grads[key] - ref).max() <= 1e-9 * np.abs(ref).max(), key
 
 
 def test_grads_do_not_alias_parameters():
