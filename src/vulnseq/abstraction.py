@@ -30,6 +30,8 @@ ID_TOKEN_RE = re.compile(r"^(F|T|V|L)_[0-9]+$")
 
 _ROLES = "FTVL"
 
+_LITERALS = (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL)
+
 
 @dataclass
 class IdMap:
@@ -85,17 +87,20 @@ def abstract_function(
     """
     idmap = shared if shared is not None else IdMap()
     roles = classify_identifier_roles(fn)
-    out: list[str] = []
-    for tok in fn.significant_tokens():
-        if tok.kind is TokenKind.IDENTIFIER:
-            m = ID_TOKEN_RE.match(tok.text)
-            letter = m.group(1) if m is not None else roles[tok.text].value
-            out.append(idmap.resolve(letter, tok.text))
-        elif tok.kind in (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL):
-            out.append(idmap.resolve("L", tok.text))
-        else:
-            out.append(tok.text)
-    return out, idmap
+    sig = fn.significant_tokens()
+    texts = [t.text for t in sig]
+    # Each spelling keeps the ID of its first occurrence, so resolving the
+    # distinct spellings in first-occurrence order numbers them as a
+    # token-by-token pass would.
+    named: dict[str, str] = {}
+    for text, tok in dict(zip(texts, sig)).items():
+        if text in roles:
+            m = ID_TOKEN_RE.match(text)
+            letter = m.group(1) if m is not None else roles[text].value
+            named[text] = idmap.resolve(letter, text)
+        elif tok.kind in _LITERALS:
+            named[text] = idmap.resolve("L", text)
+    return list(map(named.get, texts, texts)), idmap
 
 
 class SeqRole(enum.Enum):

@@ -4,6 +4,11 @@ Tokenization is lossless (concatenating token texts reproduces the input);
 function extraction and identifier-role classification are deliberate
 heuristics that work on unpreprocessed source. Macros are treated as plain
 identifiers and K&R-style definitions are skipped, not rejected.
+
+The work per token is bounded: one ``findall`` splits the source, each
+distinct spelling becomes one immutable ``Token`` that all its occurrences
+share (so compare tokens by value, never by identity), and brackets are
+matched in one stack pass per file.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from types import MappingProxyType
 
 from .errors import LexError, StructureError
 
@@ -45,8 +53,13 @@ class FunctionUnit:
     header_tokens: tuple[Token, ...]
     body_tokens: tuple[Token, ...]
 
-    def significant_tokens(self) -> list[Token]:
-        return strip_noise(list(self.header_tokens) + list(self.body_tokens))
+    @cached_property
+    def _significant(self) -> tuple[Token, ...]:
+        return tuple(strip_noise(self.header_tokens + self.body_tokens))
+
+    def significant_tokens(self) -> tuple[Token, ...]:
+        """Header and body without comments and whitespace, computed once."""
+        return self._significant
 
 
 # C89/C99 keyword table; identifiers outside this set are classification fodder.
@@ -107,8 +120,19 @@ _UNTERMINATED = {
 }
 
 
-def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
+# The same alternatives without their groups, so that findall returns the
+# token texts. No alternative looks past the text it matches, so a token's
+# kind depends on its text alone: each distinct text is classified once.
+_SPLIT_RE = re.compile(
+    re.sub(r"\(\?P<\w+>", "(?:", _TOKEN_RE.pattern), re.VERBOSE | re.DOTALL
+)
+
+# A punctuator or keyword spelling always lexes to the same token; tokens
+# are immutable, so every call shares these instead of building them.
+_FIXED_TOKENS = MappingProxyType(
+    {p: Token(p, TokenKind.PUNCTUATOR) for p in PUNCTUATORS}
+    | {k: Token(k, TokenKind.KEYWORD) for k in KEYWORDS}
+)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -116,21 +140,27 @@ def tokenize(source: str) -> list[Token]:
 
     Preprocessor lines are lexed as ordinary tokens; no macro expansion.
     Raises LexError only for unterminated string/char literals or an
-    unterminated block comment.
+    unterminated block comment. Equal tokens may be one shared object, so
+    compare tokens by value, never by identity.
     """
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = _GROUP_KIND.get(m.lastgroup)
+    texts = _SPLIT_RE.findall(source)
+    table = dict(_FIXED_TOKENS)
+    for text in set(texts).difference(table):
+        kind = _GROUP_KIND.get(_TOKEN_RE.match(text).lastgroup)
         if kind is None:
-            raise LexError(_UNTERMINATED[m.lastgroup], _byte_offset(source, m.start()))
-        text = m.group()
-        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
-            kind = TokenKind.KEYWORD
-        tokens.append(Token(text, kind))
-    return tokens
+            m = next(m for m in _TOKEN_RE.finditer(source) if m.lastgroup in _UNTERMINATED)
+            offset = len(source[: m.start()].encode("utf-8"))
+            raise LexError(_UNTERMINATED[m.lastgroup], offset)
+        table[text] = Token(text, kind)
+    return list(map(table.__getitem__, texts))
 
 
 _NOISE = (TokenKind.WHITESPACE, TokenKind.COMMENT)
+# Per-token loops compare kinds against this name: on Python 3.11 reading a
+# member off its Enum class costs several times a global lookup.
+_IDENTIFIER = TokenKind.IDENTIFIER
+_DECL_BOUNDARY = {"{", ";", "(", ","}
+_TAG_KEYWORDS = {"struct", "union", "enum"}
 
 
 def strip_noise(tokens: list[Token]) -> list[Token]:
@@ -138,21 +168,13 @@ def strip_noise(tokens: list[Token]) -> list[Token]:
     return [t for t in tokens if t.kind not in _NOISE]
 
 
-def _is_punct(tok: Token, text: str) -> bool:
-    return tok.kind is TokenKind.PUNCTUATOR and tok.text == text
-
-
 def _directive_end(tokens: list[Token], start: int) -> int:
     """Index just past a preprocessor line starting at tokens[start] == '#'."""
-    j = start + 1
-    while j < len(tokens):
+    for j in range(start + 1, len(tokens)):
         tok = tokens[j]
-        if tok.kind is TokenKind.WHITESPACE and "\n" in tok.text:
-            if j > 0 and tokens[j - 1].text == "\\":
-                j += 1
-                continue
+        # a newline ends the line unless a backslash continues it
+        if tok.kind is TokenKind.WHITESPACE and "\n" in tok.text and tokens[j - 1].text != "\\":
             return j
-        j += 1
     return len(tokens)
 
 
@@ -169,27 +191,14 @@ def _at_line_start(tokens: list[Token], i: int) -> bool:
     return True
 
 
-def _trim_noise_edges(tokens: list[Token]) -> list[Token]:
-    lo, hi = 0, len(tokens)
-    while lo < hi and tokens[lo].kind in _NOISE:
-        lo += 1
-    while hi > lo and tokens[hi - 1].kind in _NOISE:
-        hi -= 1
-    return tokens[lo:hi]
-
-
 def _parameter_type_spelling(param: list[Token]) -> str:
     """Parameter tokens with the declared name removed, space-joined."""
-    if len(param) > 1:
-        last_ident = None
-        for k, tok in enumerate(param):
-            if tok.kind is TokenKind.IDENTIFIER:
-                prev = param[k - 1] if k > 0 else None
-                if prev is not None and prev.text in ("struct", "union", "enum"):
-                    continue
-                last_ident = k
-        if last_ident is not None and last_ident > 0:
-            param = param[:last_ident] + param[last_ident + 1 :]
+    names = [
+        k for k, tok in enumerate(param)
+        if tok.kind is _IDENTIFIER and (k == 0 or param[k - 1].text not in _TAG_KEYWORDS)
+    ]
+    if len(param) > 1 and names and names[-1] > 0:
+        param = param[: names[-1]] + param[names[-1] + 1 :]
     return " ".join(t.text for t in param)
 
 
@@ -200,16 +209,49 @@ def _signature_key(header_sig: list[Token], name_idx: int) -> str:
     groups: list[list[Token]] = [[]]
     depth = 0
     for tok in params:
-        if _is_punct(tok, "(") or _is_punct(tok, "["):
+        if tok.text in ("(", "["):
             depth += 1
-        elif _is_punct(tok, ")") or _is_punct(tok, "]"):
+        elif tok.text in (")", "]"):
             depth -= 1
-        if depth == 0 and _is_punct(tok, ","):
+        if depth == 0 and tok.text == ",":
             groups.append([])
         else:
             groups[-1].append(tok)
     spellings = [_parameter_type_spelling(g) for g in groups if g]
     return f"{ret} {name} ( {' , '.join(spellings)} )"
+
+
+_BRACKETS = frozenset("(){}")
+
+
+def _match_brackets(texts: list[str]) -> dict[int, int]:
+    """Index of the closer of each '(' and '{' that has one.
+
+    One pass with a stack per bracket kind; each kind ignores the other,
+    and a closer with nothing open is left unmatched.
+    """
+    match: dict[int, int] = {}
+    parens: list[int] = []
+    braces: list[int] = []
+    for k in compress(range(len(texts)), map(_BRACKETS.__contains__, texts)):
+        text = texts[k]
+        if text == "(":
+            parens.append(k)
+        elif text == "{":
+            braces.append(k)
+        elif text == ")":
+            if parens:
+                match[parens.pop()] = k
+        elif braces:
+            match[braces.pop()] = k
+    return match
+
+
+def _block_end(match: dict[int, int], open_k: int) -> int:
+    """Index just past the brace block opened at open_k."""
+    if open_k not in match:
+        raise StructureError("unbalanced '{' at file scope")
+    return match[open_k] + 1
 
 
 def extract_functions(tokens: list[Token]) -> list[FunctionUnit]:
@@ -219,87 +261,46 @@ def extract_functions(tokens: list[Token]) -> list[FunctionUnit]:
     unparsable constructs (K&R definitions, function pointers) are skipped.
     Raises StructureError when braces do not balance at file scope.
     """
-    sig: list[tuple[int, Token]] = [
-        (i, t) for i, t in enumerate(tokens) if t.kind not in _NOISE
-    ]
+    at = [i for i, t in enumerate(tokens) if t.kind not in _NOISE]  # sig[k] is tokens[at[k]]
+    sig = [tokens[i] for i in at]
+    texts = [t.text for t in sig]
+    match = _match_brackets(texts)
     units: list[FunctionUnit] = []
-    boundary = 0  # raw index where the current candidate header starts
+    boundary = 0  # index in sig where the current candidate header starts
     k = 0
     while k < len(sig):
-        i, tok = sig[k]
-        if _is_punct(tok, "#") and _at_line_start(tokens, i):
-            end = _directive_end(tokens, i)
-            boundary = end
-            while k < len(sig) and sig[k][0] < end:
+        text = texts[k]
+        if text == "#" and _at_line_start(tokens, at[k]):
+            end = _directive_end(tokens, at[k])
+            while k < len(sig) and at[k] < end:
                 k += 1
-            continue
-        if _is_punct(tok, ";"):
-            boundary = i + 1
-            k += 1
-            continue
-        if _is_punct(tok, "{"):
+            boundary = k
+        elif text == ";":
+            k = boundary = k + 1
+        elif text == "{":
             # struct/union/enum body or initializer block at file scope
-            k = _skip_braces(sig, k)
-            boundary = sig[k - 1][0] + 1
-            continue
-        if _is_punct(tok, "}"):
+            k = boundary = _block_end(match, k)
+        elif text == "}":
             raise StructureError("unbalanced '}' at file scope")
-        if tok.kind is TokenKind.IDENTIFIER and k + 1 < len(sig) and _is_punct(sig[k + 1][1], "("):
-            close = _match_parens(sig, k + 1)
-            if close is not None and close + 1 < len(sig) and _is_punct(sig[close + 1][1], "{"):
-                body_end = _skip_braces(sig, close + 1)
-                header = _trim_noise_edges(tokens[boundary : sig[close][0] + 1])
-                body = tokens[sig[close + 1][0] : sig[body_end - 1][0] + 1]
-                header_sig = strip_noise(header)
-                name_idx = next(
-                    idx
-                    for idx in range(len(header_sig) - 1, -1, -1)
-                    if header_sig[idx] is tok
+        elif (
+            sig[k].kind is _IDENTIFIER
+            and texts[k + 1 : k + 2] == ["("]
+            and (close := match.get(k + 1)) is not None
+            and texts[close + 1 : close + 2] == ["{"]
+        ):
+            end = _block_end(match, close + 1)
+            units.append(
+                FunctionUnit(
+                    name=text,
+                    signature_key=_signature_key(sig[boundary : close + 1], k - boundary),
+                    header_tokens=tuple(tokens[at[boundary] : at[close] + 1]),
+                    body_tokens=tuple(tokens[at[close + 1] : at[end - 1] + 1]),
                 )
-                units.append(
-                    FunctionUnit(
-                        name=tok.text,
-                        signature_key=_signature_key(header_sig, name_idx),
-                        header_tokens=tuple(header),
-                        body_tokens=tuple(body),
-                    )
-                )
-                boundary = sig[body_end - 1][0] + 1
-                k = body_end
-                continue
-        k += 1
+            )
+            k = boundary = end
+        else:
+            k += 1
     return units
-
-
-def _match_parens(sig: list[tuple[int, Token]], open_k: int) -> int | None:
-    depth = 0
-    for k in range(open_k, len(sig)):
-        t = sig[k][1]
-        if _is_punct(t, "("):
-            depth += 1
-        elif _is_punct(t, ")"):
-            depth -= 1
-            if depth == 0:
-                return k
-    return None
-
-
-def _skip_braces(sig: list[tuple[int, Token]], open_k: int) -> int:
-    """Index just past the brace block opened at sig[open_k]."""
-    depth = 0
-    for k in range(open_k, len(sig)):
-        t = sig[k][1]
-        if _is_punct(t, "{"):
-            depth += 1
-        elif _is_punct(t, "}"):
-            depth -= 1
-            if depth == 0:
-                return k + 1
-    raise StructureError("unbalanced '{' at file scope")
-
-
-_DECL_BOUNDARY = {"{", ";", "(", ","}
-_TAG_KEYWORDS = {"struct", "union", "enum"}
 
 
 def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
@@ -313,36 +314,30 @@ def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
     upgrades a variable.
     """
     sig = fn.significant_tokens()
-    first: dict[str, Role] = {}
-    called: set[str] = set()
-    for idx, tok in enumerate(sig):
-        if tok.kind is not TokenKind.IDENTIFIER:
+    texts = [t.text for t in sig]
+    called = set(compress(texts, map("(".__eq__, texts[1:])))
+    # each spelling's first index: zipping in reverse leaves the lowest
+    first = dict(zip(reversed(texts), range(len(texts) - 1, -1, -1)))
+    roles: dict[str, Role] = {}
+    for idx in sorted(first.values()):
+        if sig[idx].kind is not _IDENTIFIER:
             continue
-        nxt = sig[idx + 1] if idx + 1 < len(sig) else None
-        prev = sig[idx - 1] if idx > 0 else None
-        if nxt is not None and _is_punct(nxt, "("):
-            raw = Role.FUNCTION
-            called.add(tok.text)
-        elif prev is not None and prev.kind is TokenKind.KEYWORD and prev.text in _TAG_KEYWORDS:
-            raw = Role.TYPE
-        elif _in_type_position(sig, idx):
-            raw = Role.TYPE
+        text = texts[idx]
+        if texts[idx + 1 : idx + 2] == ["("]:
+            roles[text] = Role.FUNCTION
+        elif (idx > 0 and texts[idx - 1] in _TAG_KEYWORDS) or _in_type_position(sig, texts, idx):
+            roles[text] = Role.TYPE
+        elif text in called:
+            roles[text] = Role.FUNCTION
         else:
-            raw = Role.VARIABLE
-        first.setdefault(tok.text, raw)
-    roles = {}
-    for spelling, raw in first.items():
-        if raw is Role.VARIABLE and spelling in called:
-            raw = Role.FUNCTION
-        roles[spelling] = raw
+            roles[text] = Role.VARIABLE
     return roles
 
 
-def _in_type_position(sig: list[Token], idx: int) -> bool:
-    prev = sig[idx - 1] if idx > 0 else None
-    if prev is not None and not (prev.kind is TokenKind.PUNCTUATOR and prev.text in _DECL_BOUNDARY):
+def _in_type_position(sig: list[Token], texts: list[str], idx: int) -> bool:
+    if idx > 0 and texts[idx - 1] not in _DECL_BOUNDARY:
         return False
     j = idx + 1
-    while j < len(sig) and _is_punct(sig[j], "*"):
+    while texts[j : j + 1] == ["*"]:
         j += 1
-    return j < len(sig) and sig[j].kind is TokenKind.IDENTIFIER
+    return j < len(sig) and sig[j].kind is _IDENTIFIER

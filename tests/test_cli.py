@@ -484,3 +484,40 @@ def test_pipeline_is_byte_deterministic(tmp_path):
         return _digest(corpus), _digest(ckpt), _digest(report)
 
     assert run("a") == run("b")
+
+
+HOSTILE_SOURCES = {
+    "one 1 MB line": ("int f(int a) {" + " a = a + 1;" * 95_000 + " }\n", 0),
+    "200,000 nested braces": ("void f(void) " + "{" * 200_000 + "}" * 200_000 + "\n", 0),
+    "200,000 nested parentheses": (
+        "int f(void) { return " + "(" * 200_000 + "1" + ")" * 200_000 + "; }\n", 0
+    ),
+    # each opener's closer is looked up, not searched for: rescanning from
+    # every "a(" to the end of the file would take quadratic time here
+    "100,000 unclosed calls": ("a(" * 100_000 + "\n", 0),
+    "100,000 unclosed braces": ("void f(void) " + "{" * 100_000 + "\n", 1),
+}
+
+
+@pytest.mark.parametrize("command", ["abstract", "dump-tokens"])
+@pytest.mark.parametrize("name", list(HOSTILE_SOURCES))
+def test_hostile_sources_exit_cleanly(command, name, tmp_path):
+    # a subprocess, so that a recursion limit, a crash or a quadratic
+    # slowdown shows as an exit code, a traceback or a timeout
+    source, code = HOSTILE_SOURCES[name]
+    src = tmp_path / "hostile.c"
+    src.write_text(source)
+    out = tmp_path / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vulnseq.cli", command, "-i", str(src), "-o", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "unbalanced '{'" in proc.stderr
+        assert not out.exists()
+    else:
+        assert out.exists()

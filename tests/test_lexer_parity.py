@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +125,43 @@ def test_parity_on_synthetic_sources():
     assert len(sources) > 2000
     for source in sorted(sources):
         _assert_parity(source)
+
+
+# Where classifying each distinct text on its own could part from lexing it
+# in place: Unicode digits, spaces and letters that the regex classes accept
+# or reject, empty and lone openers, and byte offsets after multi-byte text.
+EDGE_CASES = [
+    "٣", ".٣", "x = ٣٤;", "a.٣", "1٣e+5",
+    "int x;", "a b", " ", " ",
+    "aé", "_é1", "é", "xé = 'é';", "int ℌ;",
+    "''", '""', '"', "'", "/*", "/* é", "x /* y",
+    'é "abc', "é 'x", "ßß /*", "\U0001f600 \"", "\U0001f600 '\\'",
+    '"é" "', "'é' '", "/* é */ /*",
+]
+
+
+def test_parity_on_unicode_and_lone_openers():
+    for source in EDGE_CASES:
+        _assert_parity(source)
+
+
+@pytest.mark.parametrize(
+    "source, message, offset",
+    [
+        ('é "abc', "unterminated string literal", 3),
+        ("\U0001f600 '", "unterminated char literal", 5),
+        ("ß /* x", "unterminated block comment", 3),
+        ("'é' \"é\" \"", "unterminated string literal", 10),
+    ],
+)
+def test_error_offsets_count_utf8_bytes(source, message, offset):
+    with pytest.raises(LexError, match=message) as info:
+        tokenize(source)
+    assert info.value.offset == offset
+    _assert_parity(source)
+
+
+def test_parity_on_every_punctuator_and_keyword():
+    for text in [*PUNCTUATORS, *sorted(KEYWORDS)]:
+        for source in (text, f"x{text}y", f"{text} {text}"):
+            _assert_parity(source)
