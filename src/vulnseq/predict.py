@@ -27,7 +27,7 @@ from typing import Sequence
 from .abstraction import source_sequences
 from .corpus import ComponentRecord, Release
 from .errors import LexError, StructureError
-from .seq2seq import Seq2SeqModel, Vocabulary, greedy_reproduces
+from .seq2seq import Seq2SeqModel, greedy_reproduces
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,28 @@ class ComponentVerdict:
         assert self.predicted_vulnerable == bool(self.modified_sequences)
 
 
-def _component_rows(
-    component: ComponentRecord, vocab: Vocabulary
-) -> list[tuple[str, int, list[int]]]:
-    """(function, chunk index, ids) for each chunk; none if unparseable."""
+def _component_rows(component: ComponentRecord) -> list[tuple[str, int, tuple[str, ...]]]:
+    """(function, chunk index, tokens) for each chunk; none if unparseable."""
     try:
         seqs = source_sequences(component.path, component.source)
     except (LexError, StructureError):
         return []
-    return [(s.function_name, s.chunk_index, vocab.encode(s.tokens)) for s in seqs]
+    return [(s.function_name, s.chunk_index, s.tokens) for s in seqs]
 
 
 def _verdicts(
     model: Seq2SeqModel, components: Sequence[ComponentRecord]
 ) -> list[ComponentVerdict]:
-    rows = [_component_rows(c, model.vocabulary) for c in components]
-    ids = [r[2] for comp_rows in rows for r in comp_rows]
-    unchanged = iter(greedy_reproduces(model, ids, ids))
+    rows = [_component_rows(c) for c in components]
+    # a verdict depends on the chunk's tokens alone, and chunks repeat a
+    # lot, so each distinct chunk is encoded and checked once
+    chunks = list(dict.fromkeys(tokens for comp_rows in rows for _, _, tokens in comp_rows))
+    ids = [model.vocabulary.encode(tokens) for tokens in chunks]
+    unchanged = dict(zip(chunks, greedy_reproduces(model, ids, ids)))
     verdicts = []
     for component, comp_rows in zip(components, rows):
         modified = tuple(
-            (fn, chunk) for fn, chunk, _ in comp_rows if not next(unchanged)
+            (fn, chunk) for fn, chunk, tokens in comp_rows if not unchanged[tokens]
         )
         verdicts.append(
             ComponentVerdict(component.path, bool(modified), modified, len(comp_rows))

@@ -7,6 +7,20 @@ decoder layer to vocabulary logits. Pure float64 numpy throughout; every
 random draw comes from one seeded generator so runs are reproducible
 bit-for-bit.
 
+Training and inference run every LSTM layer through one runner,
+``_packed_lstm_forward``, over packed, time-major arrays (cf. the
+variable length batching of cuDNN's RNN kernels, arXiv:1604.01946). The
+rows of a batch are sorted longest first, ties kept in batch order: the
+encoder's by input length, the decoder's by the steps it runs, target
+length + 1 for the EOS step. The rows still running at step t are then a
+prefix of k[t] rows, stored at rows off[t] to off[t] + k[t] of arrays
+with one row per real token (``_Packing``), so every recurrence,
+projection and softmax runs over real tokens only and no loop holds a
+mask. The encoder's backward direction reads each row reversed within
+its own length, so both directions share k[t] and run as one stacked
+recurrence. A single step, as ``recurrent_cell`` and ``decode_greedy``
+take them, is a packing of one row of length 1.
+
 ``greedy_reproduces`` is the one "does greedy decoding give this target
 back?" check, for prediction and validation alike. Abstracted chunks
 repeat a lot, so it runs each distinct (input, target) row once and hands
@@ -17,11 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .vocab import EOS, PAD, SOS, Vocabulary
+from .vocab import EOS, SOS, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -123,68 +140,121 @@ def check_parameter_shapes(model: Seq2SeqModel) -> None:
             )
 
 
-def _lstm_forward(Z, h, c, U, mask=None, trace=None):
-    """Run an LSTM layer over precomputed input projections.
+class _Packing(NamedTuple):
+    """A batch's rows sorted longest first and packed time-major.
 
-    Z (..., T, B, 4n) holds x·W + b for each of T steps; leading axes stack
-    independent layers that run in lockstep, with U (..., n, 4n) stacked to
-    match. Each step adds h·U and overwrites its slot of Z with the gate
-    activations (i, f, g, o), taking sigmoid(z) as 0.5·(1 + tanh(z/2)) so
-    that one tanh covers all four gates. mask (..., T, B, 1) of bools keeps
-    a row's previous state at its False steps. With trace = (Hs, Cs, TC),
-    Hs and Cs (..., T + 1, B, n) receive the states before and after every
-    step and TC (..., T, B, n) tanh of each step's new cell state: what
-    backpropagation reads. Returns the final (h, c).
+    ``order[j]`` is the batch row that sorted row j holds; ties keep batch
+    order. The rows still running at step t are then the first
+    ``k[t]``, and a packed array holds them at rows ``off[t]`` to
+    ``off[t] + k[t]``: N = Σ lengths rows, none of them padding. Packed row
+    p is sorted row ``row[p]`` at step ``step[p]``. A trace of states puts
+    the B initial states in front of the N after each step, so the state
+    before packed row p is trace row ``prev[p]`` and sorted row j's final
+    state is trace row ``last[j]``.
+    """
+
+    order: np.ndarray
+    lengths: np.ndarray
+    k: list[int]
+    off: list[int]
+    row: np.ndarray
+    step: np.ndarray
+    prev: np.ndarray
+    last: np.ndarray
+
+
+def _pack(lengths: list[int]) -> _Packing:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b = len(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    ls = lengths[order]
+    # ls falls, so the rows longer than t are a prefix: count them
+    k = np.searchsorted(-ls, -np.arange(ls[0]), side="left")
+    off = np.concatenate([[0], np.cumsum(k)])
+    step = np.repeat(np.arange(len(k)), k)
+    row = np.arange(off[-1]) - off[step]
+    # trace row of the state before step t: the initial block, then step t-1's
+    before = np.concatenate([[0], b + off[:-1]])
+    return _Packing(
+        order=order,
+        lengths=ls,
+        k=k.tolist(),
+        off=off[:-1].tolist(),
+        row=row,
+        step=step,
+        prev=before[step] + row,
+        last=before[ls] + np.arange(b),
+    )
+
+
+def _packed_ids(packing: _Packing, seqs: list[list[int]], reverse: bool = False):
+    """The id each packed row reads from seqs, given in batch order.
+
+    Each sequence must hold exactly its row's packed length of ids. With
+    reverse, a row reads its own sequence backwards: step t takes
+    position length - 1 - t, so no row ever reads padding.
+    """
+    ls = packing.lengths
+    flat = np.fromiter(
+        chain.from_iterable(seqs[b] for b in packing.order), dtype=np.int64, count=ls.sum()
+    )
+    start = np.cumsum(ls) - ls
+    at = ls[packing.row] - 1 - packing.step if reverse else packing.step
+    return flat[start[packing.row] + at]
+
+
+def _packed_lstm_forward(Z, h, c, U, packing: _Packing):
+    """Run an LSTM layer over packed input projections.
+
+    Z (..., N, 4n) holds x·W + b for every packed row; leading axes stack
+    independent layers that run in lockstep over the same packing, with U
+    (..., n, 4n) and the initial h, c (..., B, n) stacked to match. Step t
+    adds h·U to its k[t] rows of Z and overwrites them with the gate
+    activations (i, f, g, o), one tanh for all four. The gates' input
+    scaling is applied to Z and U up front; scaling by 0.5 is exact, so
+    this changes no bit. Returns the trace (Hs, Cs, TC): Hs and
+    Cs (..., B + N, n) hold the initial states, then the state after each
+    packed row, and TC (..., N, n) tanh of each new cell state, which is
+    what backpropagation reads.
     """
     n = U.shape[-2]
-    # full-shape factors: a broadcast row would cost numpy more per call
+    b = h.shape[-2]
+    # a·tanh(a·z) + shift is sigmoid(z) = 0.5·(1 + tanh(z/2)) where a is
+    # 0.5 (i, f, o) and tanh(z) where a is 1 (g); the factors are
+    # full-shape, as a broadcast row would cost numpy more per call
     a = np.full(h.shape[:-1] + (4 * n,), 0.5)
     a[..., 2 * n : 3 * n] = 1.0
     shift = 1.0 - a
-    keep = None if mask is None else ~mask
-    if trace is not None:
-        Hs, Cs, TC = trace
-        Hs[..., 0, :, :] = h
-        Cs[..., 0, :, :] = c
-    h_out = c_out = tc_out = None
-    for t in range(Z.shape[-3]):
-        z = Z[..., t, :, :]
-        z += h @ U
-        z *= a
+    Z *= a[..., :1, :]
+    U = U * a[..., :1, :]
+    Hs = np.empty(Z.shape[:-2] + (b + Z.shape[-2], n))
+    Cs = np.empty_like(Hs)
+    TC = np.empty(Z.shape[:-1] + (n,))
+    Hs[..., :b, :] = h
+    Cs[..., :b, :] = c
+    before = 0
+    for start, k in zip(packing.off, packing.k):
+        z = Z[..., start : start + k, :]
+        z += Hs[..., before : before + k, :] @ U
         np.tanh(z, out=z)
-        z *= a
-        z += shift
-        if trace is not None:
-            h_out, c_out = Hs[..., t + 1, :, :], Cs[..., t + 1, :, :]
-            tc_out = TC[..., t, :, :]
-        c_new = np.multiply(z[..., n : 2 * n], c, out=c_out)
+        z *= a[..., :k, :]
+        z += shift[..., :k, :]
+        after = b + start
+        c_new = np.multiply(
+            z[..., n : 2 * n], Cs[..., before : before + k, :], out=Cs[..., after : after + k, :]
+        )
         c_new += z[..., :n] * z[..., 2 * n : 3 * n]
-        h_new = np.multiply(z[..., 3 * n :], np.tanh(c_new, out=tc_out), out=h_out)
-        if keep is not None:
-            np.copyto(h_new, h, where=keep[..., t, :, :])
-            np.copyto(c_new, c, where=keep[..., t, :, :])
-        h, c = h_new, c_new
-    return h, c
+        np.multiply(
+            z[..., 3 * n :],
+            np.tanh(c_new, out=TC[..., start : start + k, :]),
+            out=Hs[..., after : after + k, :],
+        )
+        before = after
+    return Hs, Cs, TC
 
 
-def _project(X, W, b):
-    """x·W + b for all steps at once: X (..., T, B, d) -> (..., T, B, 4n)."""
-    Z = X.reshape(X.shape[:-3] + (-1, X.shape[-1])) @ W
-    Z += b[..., None, :]
-    return Z.reshape(X.shape[:-1] + (W.shape[-1],))
-
-
-def _new_trace(Z):
-    """Empty (Hs, Cs, TC) for an _lstm_forward run over Z."""
-    *lead, steps, rows, width = Z.shape
-    n = width // 4
-    states = (*lead, steps + 1, rows, n)
-    return np.empty(states), np.empty(states), np.empty((*lead, steps, rows, n))
-
-
-def _lstm_step(x, h, c, W, U, b):
-    """One batched step. Returns (h', c')."""
-    return _lstm_forward((x @ W + b)[None], h, c, U)
+# one row, one step: the packing of recurrent_cell and decode_greedy
+_ONE_STEP = _pack([1])
 
 
 def recurrent_cell(x, h, c, params):
@@ -194,30 +264,21 @@ def recurrent_cell(x, h, c, params):
     c = np.asarray(c, dtype=np.float64)
     W, U, b = params["W"], params["U"], params["b"]
     n = U.shape[0]
-    if W.shape != (x.shape[-1], 4 * n) or U.shape != (n, 4 * n) or b.shape != (4 * n,):
+    if x.ndim != 1:
+        raise ShapeError(f"x must be a single vector, got shape {x.shape}")
+    if W.shape != (x.shape[0], 4 * n) or U.shape != (n, 4 * n) or b.shape != (4 * n,):
         raise ShapeError(
             f"inconsistent cell shapes: W {W.shape}, U {U.shape}, b {b.shape}"
         )
     if h.shape != (n,) or c.shape != (n,):
         raise ShapeError(f"state must have shape ({n},)")
-    h_new, c_new = _lstm_step(x[None, :], h[None, :], c[None, :], W, U, b)
-    return h_new[0], c_new[0]
+    Hs, Cs, _ = _packed_lstm_forward(x[None] @ W + b, h[None], c[None], U, _ONE_STEP)
+    return Hs[1], Cs[1]
 
 
 def _encoder_weights(p):
     """The encoder's W, U and b with the two directions stacked on axis 0."""
     return tuple(np.stack([p[f"enc_fwd_{k}"], p[f"enc_bwd_{k}"]]) for k in "WUb")
-
-
-def _encoder_steps(ids: np.ndarray, mask: np.ndarray):
-    """Step ids (2, T, B) and bool masks (2, T, B, 1) of the stacked encoder.
-
-    ids and mask are right-padded (B, T) batches. Direction 0 reads each
-    row forward and direction 1 backward, so its step s reads position
-    T-1-s; both then run as one recurrence.
-    """
-    ids, mask = ids.T, mask.T > 0
-    return np.stack([ids, ids[::-1]]), np.stack([mask, mask[::-1]])[..., None]
 
 
 def _bridge(p, h_cat, c_cat):
@@ -231,42 +292,34 @@ def _bridge(p, h_cat, c_cat):
     ]
 
 
-# Steps per input projection when encoding for inference. Training keeps
-# every step's projection for backprop; here a bounded buffer keeps the
-# peak memory of a large batch flat however long its inputs are.
-ENCODE_CHUNK_STEPS = 4
+def _encoder_forward(p, seqs: list[list[int]], pe: _Packing):
+    """Both encoder directions over seqs, packed by pe, as one recurrence.
 
-
-def _encode_batch(
-    model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray, outputs: bool = False
-):
-    """Run the bidirectional encoder over a right-padded id batch.
-
-    Masked positions keep the previous state, so trailing padding never
-    leaks into the final states. Returns the per-position outputs
-    (B,T,2H), or None unless asked for, and the bridged decoder initial
-    states.
+    Direction 1 reads each row backwards. Returns the packed ids (2, N),
+    their embeddings, the gates and the trace: what backpropagation reads.
     """
-    p = model.params
-    H = model.config.hidden_units
-    steps, step_mask = _encoder_steps(ids, mask)
+    ids = np.stack([_packed_ids(pe, seqs), _packed_ids(pe, seqs, reverse=True)])
     W, U, b = _encoder_weights(p)
-    h = c = np.zeros((2, ids.shape[0], H))
-    out = []
-    for start in range(0, steps.shape[1], ENCODE_CHUNK_STEPS):
-        chunk = slice(start, start + ENCODE_CHUNK_STEPS)
-        Z = _project(p["embedding"][steps[:, chunk]], W, b)
-        trace = _new_trace(Z) if outputs else None
-        h, c = _lstm_forward(Z, h, c, U, step_mask[:, chunk], trace)
-        if outputs:
-            out.append(trace[0][:, 1:])
-        del Z, trace
-    init = _bridge(p, np.concatenate(h, axis=1), np.concatenate(c, axis=1))
-    if not outputs:
-        return None, init
-    Hs = np.concatenate(out, axis=1)
-    # direction 1's step s is position T-1-s, so its outputs run reversed
-    return np.concatenate([Hs[0], Hs[1, ::-1]], axis=2).transpose(1, 0, 2), init
+    X = p["embedding"][ids]
+    Z = X @ W
+    Z += b[:, None, :]
+    zeros = np.zeros((2, len(seqs), U.shape[-2]))
+    return ids, X, Z, _packed_lstm_forward(Z, zeros, zeros, U, pe)
+
+
+def _encode_batch(model: Seq2SeqModel, inputs: list[list[int]]):
+    """Run the encoder over a batch packed by input length.
+
+    Returns the encoder trace and the bridged decoder initial states of
+    each row, in batch order.
+    """
+    pe = _pack([len(s) for s in inputs])
+    trace = _encoder_forward(model.params, inputs, pe)[3]
+    # batch row order[j] ends at trace row last[j]
+    fin = np.empty_like(pe.last)
+    fin[pe.order] = pe.last
+    h_cat, c_cat = (np.concatenate(states[:, fin], axis=1) for states in trace[:2])
+    return trace, _bridge(model.params, h_cat, c_cat)
 
 
 def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
@@ -280,10 +333,11 @@ def encode(input_ids: list[int], model: Seq2SeqModel):
     """Encode one sequence. Returns (outputs (T,2H), decoder init states)."""
     check_parameter_shapes(model)
     _check_input_ids(input_ids, model.vocabulary.size())
-    ids = np.asarray([input_ids], dtype=np.int64)
-    mask = np.ones_like(ids, dtype=np.float64)
-    outputs, init = _encode_batch(model, ids, mask, outputs=True)
-    return outputs[0], [(h[0], c[0]) for h, c in init]
+    (Hs, _, _), init = _encode_batch(model, [input_ids])
+    # trace row t + 1 holds the state after step t, and direction 1's step
+    # t reads position T-1-t, so its outputs run reversed
+    outputs = np.concatenate([Hs[0, 1:], Hs[1, :0:-1]], axis=1)
+    return outputs, [(h[0], c[0]) for h, c in init]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -292,27 +346,41 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _decoder_step(model: Seq2SeqModel, token_id: int, state):
-    p = model.params
-    x = p["embedding"][token_id][None, :]
-    (h0, c0), (h1, c1) = state
-    h0n, c0n = _lstm_step(x, h0[None, :], c0[None, :], p["dec0_W"], p["dec0_U"], p["dec0_b"])
-    h1n, c1n = _lstm_step(h0n, h1[None, :], c1[None, :], p["dec1_W"], p["dec1_U"], p["dec1_b"])
-    logits = h1n @ p["out_W"] + p["out_b"]
-    return logits[0], [(h0n[0], c0n[0]), (h1n[0], c1n[0])]
+def _decoder_forward(p, dec_in: np.ndarray, init, pd: _Packing):
+    """The teacher-forced decoder over the packed input ids dec_in.
+
+    init holds each layer's initial (h, c) in pd's sorted row order. Layer
+    0 never reads layer 1, so it runs over all steps first; layer 1's input
+    projection and the logits are then one GEMM each. Returns each layer's
+    (input, gates, trace), which backpropagation reads, and the logits.
+    """
+    runs = []
+    x = p["embedding"][dec_in]
+    for k in range(2):
+        Z = x @ p[f"dec{k}_W"]
+        Z += p[f"dec{k}_b"]
+        trace = _packed_lstm_forward(Z, *init[k], p[f"dec{k}_U"], pd)
+        runs.append((x, Z, trace))
+        x = trace[0][len(pd.order) :]
+    logits = x @ p["out_W"]
+    logits += p["out_b"]
+    return runs, logits
 
 
 def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
     """Emit argmax tokens until EOS or the configured cap.
 
+    Each step is a one-row, one-step run of the teacher-forced decoder.
     Ties break toward the lowest index; SOS/EOS are not part of the
     returned list.
     """
+    state = [(h[None], c[None]) for h, c in state]
     out: list[int] = []
     token = SOS
     for _ in range(model.config.max_decode_length):
-        logits, state = _decoder_step(model, token, state)
-        probs = softmax(logits)
+        runs, logits = _decoder_forward(model.params, np.array([token]), state, _ONE_STEP)
+        state = [(Hs[1:], Cs[1:]) for _, _, (Hs, Cs, _) in runs]
+        probs = softmax(logits[0])
         assert abs(float(probs.sum()) - 1.0) < 1e-6
         token = int(np.argmax(probs))
         if token == EOS:
@@ -321,10 +389,12 @@ def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
     return out
 
 
-# Rows per teacher-forced pass of greedy_reproduces. Rows are sorted by
-# length first, so a block pads little, and the bound keeps peak memory
-# flat however many rows a release has.
-CHECK_BLOCK_ROWS = 64
+# Packed tokens, encoder and decoder, times hidden units per teacher-forced
+# block of greedy_reproduces. A block keeps every step's gates and states
+# alive, so its memory grows with that product; the bound keeps peak
+# memory flat however many rows a release has and however wide the model
+# is.
+CHECK_BLOCK_TOKEN_UNITS = 1 << 16
 
 
 def greedy_reproduces(
@@ -366,8 +436,11 @@ def greedy_reproduces(
         if len(target) <= cap and all(0 <= i < v and i != EOS for i in target)
     ]
     todo.sort(key=lambda j: (len(keys[j][0]), len(keys[j][1])))
-    for start in range(0, len(todo), CHECK_BLOCK_ROWS):
-        block = todo[start : start + CHECK_BLOCK_ROWS]
+    # a row packs its input and min(len(target) + 1, cap) decoder steps
+    tokens = np.cumsum([len(keys[j][0]) + min(len(keys[j][1]) + 1, cap) for j in todo])
+    blocks = tokens * model.config.hidden_units // CHECK_BLOCK_TOKEN_UNITS
+    for _, group in groupby(zip(blocks.tolist(), todo), key=itemgetter(0)):
+        block = [j for _, j in group]
         found = _reproduces_block(
             model, [keys[j][0] for j in block], [keys[j][1] for j in block]
         )
@@ -377,37 +450,16 @@ def greedy_reproduces(
 
 
 def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
-    p = model.params
-    n = len(inputs)
-    ids = np.full((n, max(len(s) for s in inputs)), PAD, dtype=np.int64)
-    mask = np.zeros(ids.shape)
-    for b, seq in enumerate(inputs):
-        ids[b, : len(seq)] = seq
-        mask[b, : len(seq)] = 1.0
-    _, init = _encode_batch(model, ids, mask)
-
-    # want[b, t] is the token greedy decoding must emit at step t, or -1
-    # once row b has stopped; a target of the full cap length has no EOS.
+    init = _encode_batch(model, inputs)[1]
+    # greedy decoding is fed [SOS] + target and must emit target + [EOS],
+    # but it stops after cap steps, so a target of cap ids needs no EOS
     cap = model.config.max_decode_length
-    steps = min(max(len(s) for s in targets) + 1, cap)
-    want = np.full((n, steps), -1, dtype=np.int64)
-    dec_in = np.full((n, steps), PAD, dtype=np.int64)
-    dec_in[:, 0] = SOS
-    for b, seq in enumerate(targets):
-        want[b, : len(seq)] = seq
-        if len(seq) < cap:
-            want[b, len(seq)] = EOS
-        fed = seq[: steps - 1]
-        dec_in[b, 1 : len(fed) + 1] = fed
-
-    (h0, c0), (h1, c1) = init
-    hit = np.ones(n, dtype=bool)
-    for t in range(steps):
-        x = p["embedding"][dec_in[:, t]]
-        h0, c0 = _lstm_step(x, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
-        h1, c1 = _lstm_step(h0, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
-        token = np.argmax(softmax(h1 @ p["out_W"] + p["out_b"]), axis=1)
-        hit &= (want[:, t] < 0) | (token == want[:, t])
-        if not hit.any():
-            break
+    fed = [[SOS, *t][:cap] for t in targets]
+    pd = _pack([len(s) for s in fed])
+    init = [(h[pd.order], c[pd.order]) for h, c in init]
+    logits = _decoder_forward(model.params, _packed_ids(pd, fed), init, pd)[1]
+    want = _packed_ids(pd, [[*t, EOS][:cap] for t in targets])
+    wrong = np.argmax(softmax(logits), axis=1) != want
+    hit = np.empty(len(targets), dtype=bool)
+    hit[pd.order] = np.bincount(pd.row, wrong, len(targets)) == 0
     return hit.tolist()

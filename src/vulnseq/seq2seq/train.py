@@ -6,24 +6,14 @@ how long the other pairs are. Optimization is plain gradient descent with global
 clipping. Every run is a pure function of (pairs, config): shuffling,
 init, and the holdout split all come from seeded generators.
 
-A training step works on packed, time-major arrays (cf. the variable
-length batching of cuDNN's RNN kernels, arXiv:1604.01946). The rows of a
-batch are sorted longest first, ties kept in batch order: the encoder's
-by input length, the decoder's by target length + 1 (the EOS step). The
-rows still running at step t are then a prefix of k[t] rows, stored at
-rows off[t] to off[t] + k[t] of arrays with one row per real token, so
-every recurrence, projection, softmax and gradient GEMM runs over real
-tokens only and no loop holds a mask. The encoder's backward direction
-reads each row reversed within its own length, so both directions share
-k[t]. Inference (``greedy_reproduces``, ``decode_greedy``) keeps the
-right-padded, masked layout of ``model._encode_batch``.
+A training step runs the packed, time-major layout described in
+``model`` (``_Packing``), the one that inference runs too, and
+backpropagates through it without touching padding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +23,12 @@ from .model import (
     ModelConfig,
     Seq2SeqModel,
     _bridge,
+    _decoder_forward,
+    _encoder_forward,
     _encoder_weights,
+    _pack,
+    _packed_ids,
+    _Packing,
     greedy_reproduces,
     init_model,
 )
@@ -49,118 +44,6 @@ class TrainingState:
 def vocabulary_from_pairs(pairs: list[TrainingPair], min_count: int = 1) -> Vocabulary:
     seqs = [p.input for p in pairs] + [p.target for p in pairs]
     return build_vocabulary(seqs, min_count)
-
-
-class _Packing(NamedTuple):
-    """A batch's rows sorted longest first and packed time-major.
-
-    ``order[j]`` is the batch row that sorted row j holds; ties keep batch
-    order. The rows still running at step t are then the first
-    ``k[t]``, and a packed array holds them at rows ``off[t]`` to
-    ``off[t] + k[t]``: N = Σ lengths rows, none of them padding. Packed row
-    p is sorted row ``row[p]`` at step ``step[p]``. A trace of states puts
-    the B initial states in front of the N after each step, so the state
-    before packed row p is trace row ``prev[p]`` and sorted row j's final
-    state is trace row ``last[j]``.
-    """
-
-    order: np.ndarray
-    lengths: np.ndarray
-    k: list[int]
-    off: list[int]
-    row: np.ndarray
-    step: np.ndarray
-    prev: np.ndarray
-    last: np.ndarray
-
-
-def _pack(lengths: list[int]) -> _Packing:
-    lengths = np.asarray(lengths, dtype=np.int64)
-    b = len(lengths)
-    order = np.argsort(-lengths, kind="stable")
-    ls = lengths[order]
-    # ls falls, so the rows longer than t are a prefix: count them
-    k = np.searchsorted(-ls, -np.arange(ls[0]), side="left")
-    off = np.concatenate([[0], np.cumsum(k)])
-    step = np.repeat(np.arange(len(k)), k)
-    row = np.arange(off[-1]) - off[step]
-    # trace row of the state before step t: the initial block, then step t-1's
-    before = np.concatenate([[0], b + off[:-1]])
-    return _Packing(
-        order=order,
-        lengths=ls,
-        k=k.tolist(),
-        off=off[:-1].tolist(),
-        row=row,
-        step=step,
-        prev=before[step] + row,
-        last=before[ls] + np.arange(b),
-    )
-
-
-def _packed_ids(packing: _Packing, seqs: list[list[int]], reverse: bool = False):
-    """The id each packed row reads from seqs, given in batch order.
-
-    With reverse, a row reads its own sequence backwards: step t takes
-    position length - 1 - t, so no row ever reads padding.
-    """
-    ls = packing.lengths
-    flat = np.fromiter(
-        chain.from_iterable(seqs[b] for b in packing.order), dtype=np.int64, count=ls.sum()
-    )
-    start = np.cumsum(ls) - ls
-    at = ls[packing.row] - 1 - packing.step if reverse else packing.step
-    return flat[start[packing.row] + at]
-
-
-def _packed_lstm_forward(Z, h, c, U, packing: _Packing):
-    """Run an LSTM layer over packed input projections.
-
-    Z (..., N, 4n) holds x·W + b for every packed row; leading axes stack
-    independent layers that run in lockstep over the same packing, with U
-    (..., n, 4n) and the initial h, c (..., B, n) stacked to match. Step t
-    adds h·U to its k[t] rows of Z and overwrites them with the gate
-    activations (i, f, g, o), one tanh for all four. The gates' input
-    scaling is applied to Z and U up front; scaling by 0.5 is exact, so
-    this changes no bit. Returns the trace (Hs, Cs, TC): Hs and
-    Cs (..., B + N, n) hold the initial states, then the state after each
-    packed row, and TC (..., N, n) tanh of each new cell state, which is
-    what backpropagation reads.
-    """
-    n = U.shape[-2]
-    b = h.shape[-2]
-    # a·tanh(a·z) + shift is sigmoid(z) = 0.5·(1 + tanh(z/2)) where a is
-    # 0.5 (i, f, o) and tanh(z) where a is 1 (g); the factors are
-    # full-shape, as a broadcast row would cost numpy more per call
-    a = np.full(h.shape[:-1] + (4 * n,), 0.5)
-    a[..., 2 * n : 3 * n] = 1.0
-    shift = 1.0 - a
-    Z *= a[..., :1, :]
-    U = U * a[..., :1, :]
-    Hs = np.empty(Z.shape[:-2] + (b + Z.shape[-2], n))
-    Cs = np.empty_like(Hs)
-    TC = np.empty(Z.shape[:-1] + (n,))
-    Hs[..., :b, :] = h
-    Cs[..., :b, :] = c
-    before = 0
-    for start, k in zip(packing.off, packing.k):
-        z = Z[..., start : start + k, :]
-        z += Hs[..., before : before + k, :] @ U
-        np.tanh(z, out=z)
-        z *= a[..., :k, :]
-        z += shift[..., :k, :]
-        after = b + start
-        c_new = np.multiply(
-            z[..., n : 2 * n], Cs[..., before : before + k, :], out=Cs[..., after : after + k, :]
-        )
-        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
-        np.multiply(
-            z[..., 3 * n :],
-            np.tanh(c_new, out=TC[..., start : start + k, :]),
-            out=Hs[..., after : after + k, :],
-        )
-        before = after
-    return Hs, Cs, TC
 
 
 def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
@@ -270,34 +153,18 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     perm = rank[pd.order]
 
     # ---- encoder forward: both directions as one stacked recurrence
-    enc_ids = np.stack([_packed_ids(pe, enc), _packed_ids(pe, enc, reverse=True)])
-    eW, eU, eb = _encoder_weights(p)
-    eX = p["embedding"][enc_ids]
-    eZ = eX @ eW
-    eZ += eb[:, None, :]
-    zeros = np.zeros((2, n, model.config.hidden_units))
-    e_trace = _packed_lstm_forward(eZ, zeros, zeros, eU, pe)
+    enc_ids, eX, eZ, e_trace = _encoder_forward(p, enc, pe)
+    eW, eU, _ = _encoder_weights(p)
     fin = pe.last[perm]
     h_cat = np.concatenate(e_trace[0][:, fin], axis=1)
     c_cat = np.concatenate(e_trace[1][:, fin], axis=1)
     init = _bridge(p, h_cat, c_cat)
 
-    # ---- decoder forward (teacher forcing): layer 0 never reads layer 1,
-    # so it runs over all steps first; layer 1's input projection and the
-    # logits are then one GEMM each
+    # ---- decoder forward (teacher forcing)
     dec_in = _packed_ids(pd, [[SOS, *s] for s in tgt])
     dec_tgt = _packed_ids(pd, [[*s, EOS] for s in tgt])
-    runs = []
-    x = p["embedding"][dec_in]
-    for k in range(2):
-        Z = x @ p[f"dec{k}_W"]
-        Z += p[f"dec{k}_b"]
-        trace = _packed_lstm_forward(Z, *init[k], p[f"dec{k}_U"], pd)
-        runs.append((x, Z, trace))
-        x = trace[0][n:]
-    del Z, trace
-    logits = x @ p["out_W"]
-    logits += p["out_b"]
+    runs, logits = _decoder_forward(p, dec_in, init, pd)
+    x = runs[-1][2][0][n:]
 
     # ---- loss: mean over pairs of per-pair mean token cross-entropy
     packed = np.arange(len(dec_tgt))
@@ -349,7 +216,7 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     # row's final-state gradient goes back to its encoder slot
     seeds = []
     for dcat in (dh_cat, dc_cat):
-        seed = np.empty_like(zeros)
+        seed = np.empty((2, n, model.config.hidden_units))
         seed[:, perm] = np.stack(np.split(dcat, 2, axis=1))
         seeds.append(seed)
     _packed_lstm_backward(eZ, e_trace, eU, pe, *seeds)

@@ -9,10 +9,13 @@ anything from all to none of the rows reproduced.
 """
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vulnseq.seq2seq.model as model_module
 from vulnseq.corpus import clean_training_set
@@ -46,6 +49,11 @@ def _oracle(model, inputs, targets):
     return [decode_greedy(encode(i, model)[1], model) == t for i, t in zip(inputs, targets)]
 
 
+def _rows(component, vocab):
+    """(function, chunk index, ids) for each chunk of a component."""
+    return [(fn, chunk, vocab.encode(tokens)) for fn, chunk, tokens in _component_rows(component)]
+
+
 def _pairs(corpus):
     return build_training_pairs(
         labeled_functions_from_material(clean_training_set(corpus, 0)),
@@ -75,12 +83,22 @@ def cases():
     return out
 
 
+@pytest.fixture(scope="module")
+def noised(cases):
+    """The noised checkpoints, each with the chunks of its test release."""
+    return [
+        (model, [r[2] for c in release.components for r in _rows(c, model.vocabulary)])
+        for corpus_seed, model_name, model, release, _ in cases
+        if corpus_seed == CORPUS_SEEDS[0] and model_name in ("seed 1", "seed 2")
+    ]
+
+
 def test_predict_rows_match_greedy_decoding(cases):
     seen = set()
     for corpus_seed, model_name, model, release, _ in cases:
         verdicts = predict_release(model, release)
         for component, verdict in zip(release.components, verdicts):
-            rows = _component_rows(component, model.vocabulary)
+            rows = _rows(component, model.vocabulary)
             ids = [r[2] for r in rows]
             kept = _oracle(model, ids, ids)
             modified = tuple((fn, chunk) for (fn, chunk, _), ok in zip(rows, kept) if not ok)
@@ -90,9 +108,14 @@ def test_predict_rows_match_greedy_decoding(cases):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("block_rows", [model_module.CHECK_BLOCK_ROWS, 7])
-def test_validation_pairs_match_greedy_decoding(cases, block_rows, monkeypatch):
-    monkeypatch.setattr(model_module, "CHECK_BLOCK_ROWS", block_rows)
+# the default, and a limit of a few rows per block at the desk width
+@pytest.mark.parametrize(
+    "block_limit",
+    [model_module.CHECK_BLOCK_TOKEN_UNITS, 32 * 150],
+    ids=["default", "several_blocks"],
+)
+def test_validation_pairs_match_greedy_decoding(cases, block_limit, monkeypatch):
+    monkeypatch.setattr(model_module, "CHECK_BLOCK_TOKEN_UNITS", block_limit)
     seen = set()
     differing = 0
     for corpus_seed, model_name, model, _, pairs in cases:
@@ -117,7 +140,7 @@ def test_each_distinct_row_reaches_the_model_once(cases, monkeypatch):
         return block(model, inputs, targets)
 
     monkeypatch.setattr(model_module, "_reproduces_block", spy)
-    monkeypatch.setattr(model_module, "CHECK_BLOCK_ROWS", 5)
+    monkeypatch.setattr(model_module, "CHECK_BLOCK_TOKEN_UNITS", 32 * 300)
     for corpus_seed, model_name, model, _, pairs in cases:
         vocab = model.vocabulary
         inputs = [vocab.encode(p.input.tokens) for p in pairs]
@@ -135,7 +158,7 @@ def test_each_distinct_row_reaches_the_model_once(cases, monkeypatch):
 def test_equal_inputs_with_different_targets_match_greedy_decoding(cases):
     seen = set()
     for corpus_seed, model_name, model, release, _ in cases:
-        rows = [r[2] for c in release.components for r in _component_rows(c, model.vocabulary)]
+        rows = [r[2] for c in release.components for r in _rows(c, model.vocabulary)]
         # every input against itself, the next row and a one-token edit
         inputs, targets = [], []
         for k, ids in enumerate(rows[:40]):
@@ -155,12 +178,12 @@ def test_release_with_repeated_chunks_matches_greedy_decoding(cases):
         )
         release = dataclasses.replace(release, components=twice)
         chunks = [
-            tuple(r[2]) for c in release.components for r in _component_rows(c, model.vocabulary)
+            tuple(r[2]) for c in release.components for r in _rows(c, model.vocabulary)
         ]
         assert len(set(chunks)) <= len(chunks) // 2
         verdicts = predict_release(model, release)
         for component, verdict in zip(release.components, verdicts):
-            rows = _component_rows(component, model.vocabulary)
+            rows = _rows(component, model.vocabulary)
             ids = [r[2] for r in rows]
             kept = _oracle(model, ids, ids)
             modified = tuple((fn, chunk) for (fn, chunk, _), ok in zip(rows, kept) if not ok)
@@ -173,7 +196,7 @@ def test_release_with_repeated_chunks_matches_greedy_decoding(cases):
 
 def test_unk_ids_match_greedy_decoding(cases):
     for _, _, model, release, _ in cases:
-        rows = [r[2] for c in release.components for r in _component_rows(c, model.vocabulary)]
+        rows = [r[2] for c in release.components for r in _rows(c, model.vocabulary)]
         crafted = [[UNK if k % 3 == 0 else i for k, i in enumerate(ids)] for ids in rows]
         crafted += [[UNK], [UNK] * 5]
         assert greedy_reproduces(model, crafted, crafted) == _oracle(model, crafted, crafted)
@@ -237,3 +260,52 @@ def test_out_of_range_targets_never_match():
     model = _forced(4)
     v = model.vocabulary.size()
     assert greedy_reproduces(model, [[4], [4]], [[v], [-1]]) == [False, False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mixed_blocks_match_greedy_decoding(noised, data):
+    for model, chunks in noised:
+        ids = st.integers(0, model.vocabulary.size() - 1)
+        inputs, targets = [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            row = data.draw(st.sampled_from(chunks) | st.lists(ids, min_size=1, max_size=50))
+            if data.draw(st.booleans()):
+                target = row
+            else:
+                target = data.draw(st.lists(ids, max_size=model.config.max_decode_length))
+            inputs.append(row)
+            targets.append(target)
+        assert greedy_reproduces(model, inputs, targets) == _oracle(model, inputs, targets)
+
+
+def test_block_size_follows_the_model_width(monkeypatch):
+    """A wider model checks the same rows in more, smaller blocks."""
+    base = load_model(str(CHECKPOINT))
+    rng = np.random.default_rng(0)
+    v = base.vocabulary.size()
+    rows = [rng.integers(4, v, size=int(rng.integers(20, 51))).tolist() for _ in range(64)]
+    blocks = []
+    block = model_module._reproduces_block
+
+    def spy(model, inputs, targets):
+        blocks.append(len(inputs))
+        return block(model, inputs, targets)
+
+    monkeypatch.setattr(model_module, "_reproduces_block", spy)
+    counts = {}
+    for hidden in (32, 256):
+        model = init_model(dataclasses.replace(base.config, hidden_units=hidden), base.vocabulary)
+        blocks.clear()
+        tracemalloc.start()
+        try:
+            greedy_reproduces(model, rows, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(blocks) == len(rows)
+        # the padded runner checked these rows as one block, peaking at
+        # 1.3 MB at hidden 32 and 13.3 MB at hidden 256
+        assert peak < 15.8e6, f"hidden {hidden}: peak {peak / 1e6:.2f} MB"
+        counts[hidden] = len(blocks)
+    assert counts[256] > counts[32]

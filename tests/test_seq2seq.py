@@ -140,6 +140,8 @@ def test_cell_shape_mismatch_rejected():
         recurrent_cell(np.zeros(3), np.zeros(3), np.zeros(2), params)
     with pytest.raises(ShapeError):
         recurrent_cell(np.zeros(4), np.zeros(2), np.zeros(2), params)
+    with pytest.raises(ShapeError):
+        recurrent_cell(np.zeros((4, 3)), np.zeros(2), np.zeros(2), params)
 
 
 def test_encode_length_one_input():
@@ -180,24 +182,33 @@ def test_encode_reverse_symmetry_with_tied_directions():
         assert np.array_equal(fwd_out[i], swapped)
 
 
-def test_padding_equivalence_between_batched_and_single():
+def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
+    from test_train_step import _oracle_encode_batch
+
     from vulnseq.seq2seq.model import _encode_batch
 
     model = _tiny_model()
-    a = [4, 5, 6, 7, 5]
-    b = [6, 4]
-    ids = np.array([a, b + [PAD] * 3], dtype=np.int64)
-    mask = np.array([[1.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0]])
-    outputs, init = _encode_batch(model, ids, mask, outputs=True)
-    out_a, init_a = encode(a, model)
-    out_b, init_b = encode(b, model)
-    assert np.allclose(outputs[0], out_a, atol=1e-12)
-    assert np.allclose(outputs[1, :2], out_b, atol=1e-12)
-    for layer in range(2):
-        assert np.allclose(init[layer][0][0], init_a[layer][0], atol=1e-12)
-        assert np.allclose(init[layer][0][1], init_b[layer][0], atol=1e-12)
-        assert np.allclose(init[layer][1][0], init_a[layer][1], atol=1e-12)
-        assert np.allclose(init[layer][1][1], init_b[layer][1], atol=1e-12)
+    rng = np.random.default_rng(0)
+    batches = [[[4, 5, 6, 7, 5], [6, 4]]] + [
+        [rng.integers(4, 10, size=int(rng.integers(1, 9))).tolist() for _ in range(n)]
+        for n in (1, 3, 6, 6, 9)
+    ]
+    for rows in batches:
+        ids = np.full((len(rows), max(map(len, rows))), PAD, dtype=np.int64)
+        mask = np.zeros(ids.shape)
+        for b, row in enumerate(rows):
+            ids[b, : len(row)] = row
+            mask[b, : len(row)] = 1.0
+        outputs, _, _ = _oracle_encode_batch(model, ids, mask)
+        _, oracle, _ = _oracle_encode_batch(model, ids, mask, states_only=True)
+        _, init = _encode_batch(model, rows)
+        for b, row in enumerate(rows):
+            out, single = encode(row, model)
+            assert np.allclose(out, outputs[b, : len(row)], rtol=0, atol=1e-12)
+            for layer in range(2):
+                for k in range(2):
+                    assert np.allclose(init[layer][k][b], single[layer][k], rtol=0, atol=1e-12)
+                    assert np.allclose(init[layer][k][b], oracle[layer][k][b], rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------- decoding
