@@ -7,6 +7,12 @@ and number literals pass through verbatim. Abstracted token streams are
 then split into chunks of at most 50 tokens; each chunk is one model
 sequence. ``function_sequences`` and ``source_sequences`` are the one path
 from a function or a source file to its chunks.
+
+Abstraction builds nothing of its own from a function's tokens: it reads
+the significant texts that ``extract_functions`` sliced and the role walk
+of ``classify_identifier_roles``, whose first-occurrence order is the ID
+numbering order, and resolves each distinct spelling once through the
+``IdMap``'s one spelling-to-ID dict.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .cparse import (
     FunctionUnit,
-    TokenKind,
+    Role,
     classify_identifier_roles,
     extract_functions,
     tokenize,
@@ -28,51 +34,46 @@ CHUNK_LIMIT = 50
 
 ID_TOKEN_RE = re.compile(r"^(F|T|V|L)_[0-9]+$")
 
-_ROLES = "FTVL"
-
-_LITERALS = (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL)
+# read per entity: a dict beats the Enum's ``value`` descriptor
+_ROLE_LETTER = {role: role.value for role in Role}
+_ROLES = tuple(_ROLE_LETTER.values())
 
 
 @dataclass
 class IdMap:
     """Per-function (or per fix pair, when shared) entity-to-ID registry.
 
-    entries maps role letter → original spelling → rendered ID token.
-    New IDs are numbered densely from 1 in first-occurrence order. A
+    ids maps each original spelling to its rendered ID token. New IDs are
+    numbered densely from 1 per role letter in first-occurrence order. A
     spelling already registered under any role keeps that ID even if a
     later occurrence classifies differently; this keeps the before/after
     streams of a fix pair aligned outside the changed region.
     """
 
-    entries: dict[str, dict[str, str]] = field(
-        default_factory=lambda: {r: {} for r in _ROLES}
-    )
+    ids: dict[str, str] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=lambda: {r: 1 for r in _ROLES})
 
     def copy(self) -> IdMap:
-        return IdMap(
-            {r: dict(d) for r, d in self.entries.items()}, dict(self.counters)
-        )
+        return IdMap(dict(self.ids), dict(self.counters))
 
-    def lookup(self, spelling: str) -> str | None:
-        for r in _ROLES:
-            got = self.entries[r].get(spelling)
-            if got is not None:
-                return got
-        return None
+    @property
+    def entries(self) -> dict[str, dict[str, str]]:
+        """Role letter → spelling → ID, read from the IDs' letters."""
+        out: dict[str, dict[str, str]] = {r: {} for r in _ROLES}
+        for spelling, rendered in self.ids.items():
+            out[rendered[0]][spelling] = rendered
+        return out
 
     def resolve(self, role_letter: str, spelling: str) -> str:
-        got = self.lookup(spelling)
-        if got is not None:
-            return got
-        n = self.counters[role_letter]
-        self.counters[role_letter] = n + 1
-        rendered = f"{role_letter}_{n}"
-        self.entries[role_letter][spelling] = rendered
-        return rendered
+        got = self.ids.get(spelling)
+        if got is None:
+            n = self.counters[role_letter]
+            self.counters[role_letter] = n + 1
+            got = self.ids[spelling] = f"{role_letter}_{n}"
+        return got
 
     def size(self) -> dict[str, int]:
-        return {r: len(self.entries[r]) for r in _ROLES}
+        return {r: n - 1 for r, n in self.counters.items()}
 
 
 def abstract_function(
@@ -86,20 +87,14 @@ def abstract_function(
     under their embedded role, which makes abstraction idempotent.
     """
     idmap = shared if shared is not None else IdMap()
-    roles = classify_identifier_roles(fn)
-    sig = fn.significant_tokens()
-    texts = [t.text for t in sig]
-    # Each spelling keeps the ID of its first occurrence, so resolving the
-    # distinct spellings in first-occurrence order numbers them as a
-    # token-by-token pass would.
     named: dict[str, str] = {}
-    for text, tok in dict(zip(texts, sig)).items():
-        if text in roles:
-            m = ID_TOKEN_RE.match(text)
-            letter = m.group(1) if m is not None else roles[text].value
-            named[text] = idmap.resolve(letter, text)
-        elif tok.kind in _LITERALS:
-            named[text] = idmap.resolve("L", text)
+    # Each spelling keeps the ID of its first occurrence, so resolving the
+    # spellings in first-occurrence order, as the roles come, numbers them
+    # as a token-by-token pass would.
+    for text, role in classify_identifier_roles(fn).items():
+        m = ID_TOKEN_RE.match(text)
+        named[text] = idmap.resolve(m.group(1) if m is not None else _ROLE_LETTER[role], text)
+    texts = fn.significant_texts()
     return list(map(named.get, texts, texts)), idmap
 
 

@@ -200,7 +200,7 @@ def train_classifier(
         z = b + x @ w
         # overflow-safe sigmoid: exp only ever sees -|z|
         ez = np.exp(-np.abs(z))
-        p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        p = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
         err = (p - y) / n
         w = w - cfg.learning_rate * (cfg.l2 * 2.0 * w + err @ x)
         b -= cfg.learning_rate * float(err.sum())

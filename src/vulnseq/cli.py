@@ -265,7 +265,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
 def cmd_dump_tokens(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     lines = [
-        f"{fn.name}\t{' '.join(t.text for t in fn.significant_tokens())}\n"
+        f"{fn.name}\t{' '.join(fn.significant_texts())}\n"
         for fn in extract_functions(tokenize(text))
     ]
     _write_output(args.output, "".join(lines))

@@ -9,13 +9,22 @@ The work per token is bounded: one ``findall`` splits the source, each
 distinct spelling becomes one immutable ``Token`` that all its occurrences
 share (so compare tokens by value, never by identity), and brackets are
 matched in one stack pass per file.
+
+Each product is built once, and only for the callers that read it. The
+file pass strips noise once; every ``FunctionUnit`` keeps its slices of
+the file's significant tokens and their texts, which abstraction, role
+classification, change labelling and ``dump-tokens`` read. The signature
+key is built on first read, because only pairing reads it: prediction
+and the baselines never pay for it. ``classify_identifier_roles`` walks
+a function's distinct spellings once, in first-occurrence order, and
+abstraction numbers its IDs from that same walk.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
@@ -35,9 +44,12 @@ class TokenKind(enum.Enum):
 
 
 class Role(enum.Enum):
+    """What a spelling names; the value is abstraction's ID letter."""
+
     FUNCTION = "F"
     TYPE = "T"
     VARIABLE = "V"
+    LITERAL = "L"  # a string or char literal
 
 
 @dataclass(frozen=True)
@@ -48,18 +60,38 @@ class Token:
 
 @dataclass(frozen=True)
 class FunctionUnit:
+    """One function definition as ``extract_functions`` found it.
+
+    ``header_tokens`` and ``body_tokens`` keep comments and whitespace.
+    The file pass also hands each unit its slices of the file's
+    significant tokens and their texts, which role classification,
+    abstraction, change labelling and ``dump-tokens`` read. The signature
+    key is built on first read: only pairing reads it.
+    """
+
     name: str
-    signature_key: str
     header_tokens: tuple[Token, ...]
     body_tokens: tuple[Token, ...]
-
-    @cached_property
-    def _significant(self) -> tuple[Token, ...]:
-        return tuple(strip_noise(self.header_tokens + self.body_tokens))
+    # Header and body without noise, their texts, and the header's length
+    # and the name's index among them. All follow from the fields above,
+    # so equality and repr leave them out.
+    _significant: tuple[Token, ...] = field(repr=False, compare=False)
+    _texts: tuple[str, ...] = field(repr=False, compare=False)
+    _header_length: int = field(repr=False, compare=False)
+    _name_index: int = field(repr=False, compare=False)
 
     def significant_tokens(self) -> tuple[Token, ...]:
-        """Header and body without comments and whitespace, computed once."""
+        """Header and body without comments and whitespace."""
         return self._significant
+
+    def significant_texts(self) -> tuple[str, ...]:
+        """The texts of ``significant_tokens()``."""
+        return self._texts
+
+    @cached_property
+    def signature_key(self) -> str:
+        """Return type, name and parameter types, with parameter names dropped."""
+        return _signature_key(self._significant[: self._header_length], self._name_index)
 
 
 # C89/C99 keyword table; identifiers outside this set are classification fodder.
@@ -155,26 +187,31 @@ def tokenize(source: str) -> list[Token]:
     return list(map(table.__getitem__, texts))
 
 
-_NOISE = (TokenKind.WHITESPACE, TokenKind.COMMENT)
-# Per-token loops compare kinds against this name: on Python 3.11 reading a
-# member off its Enum class costs several times a global lookup.
+_LITERALS = (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL)
+# Per-token loops compare kinds against these names with ``is``: on Python
+# 3.11 reading a member off its Enum class costs several times a global
+# lookup, and two identity tests beat ``in`` on a tuple of kinds.
 _IDENTIFIER = TokenKind.IDENTIFIER
+_WHITESPACE = TokenKind.WHITESPACE
+_COMMENT = TokenKind.COMMENT
 _DECL_BOUNDARY = {"{", ";", "(", ","}
 _TAG_KEYWORDS = {"struct", "union", "enum"}
 
 
 def strip_noise(tokens: list[Token]) -> list[Token]:
     """Drop Comment and Whitespace tokens, preserving order."""
-    return [t for t in tokens if t.kind not in _NOISE]
+    return [t for t in tokens if t.kind is not _WHITESPACE and t.kind is not _COMMENT]
 
 
 def _directive_end(tokens: list[Token], start: int) -> int:
     """Index just past a preprocessor line starting at tokens[start] == '#'."""
     for j in range(start + 1, len(tokens)):
         tok = tokens[j]
-        # a newline ends the line unless a backslash continues it
-        if tok.kind is TokenKind.WHITESPACE and "\n" in tok.text and tokens[j - 1].text != "\\":
-            return j
+        # a newline ends the line, except that a backslash before the
+        # whitespace splices its first newline
+        if tok.kind is _WHITESPACE and "\n" in tok.text:
+            if tokens[j - 1].text != "\\" or tok.text.count("\n") > 1:
+                return j
     return len(tokens)
 
 
@@ -202,7 +239,7 @@ def _parameter_type_spelling(param: list[Token]) -> str:
     return " ".join(t.text for t in param)
 
 
-def _signature_key(header_sig: list[Token], name_idx: int) -> str:
+def _signature_key(header_sig: tuple[Token, ...], name_idx: int) -> str:
     ret = " ".join(t.text for t in header_sig[:name_idx])
     name = header_sig[name_idx].text
     params = header_sig[name_idx + 2 : -1]
@@ -224,7 +261,7 @@ def _signature_key(header_sig: list[Token], name_idx: int) -> str:
 _BRACKETS = frozenset("(){}")
 
 
-def _match_brackets(texts: list[str]) -> dict[int, int]:
+def _match_brackets(texts: tuple[str, ...]) -> dict[int, int]:
     """Index of the closer of each '(' and '{' that has one.
 
     One pass with a stack per bracket kind; each kind ignores the other,
@@ -261,9 +298,11 @@ def extract_functions(tokens: list[Token]) -> list[FunctionUnit]:
     unparsable constructs (K&R definitions, function pointers) are skipped.
     Raises StructureError when braces do not balance at file scope.
     """
-    at = [i for i, t in enumerate(tokens) if t.kind not in _NOISE]  # sig[k] is tokens[at[k]]
-    sig = [tokens[i] for i in at]
-    texts = [t.text for t in sig]
+    # sig[k] is tokens[at[k]]
+    at = [i for i, t in enumerate(tokens) if t.kind is not _WHITESPACE and t.kind is not _COMMENT]
+    # tuples, so that each unit's slices are tuples without another copy
+    sig = tuple([tokens[i] for i in at])
+    texts = tuple([t.text for t in sig])
     match = _match_brackets(texts)
     units: list[FunctionUnit] = []
     boundary = 0  # index in sig where the current candidate header starts
@@ -284,17 +323,20 @@ def extract_functions(tokens: list[Token]) -> list[FunctionUnit]:
             raise StructureError("unbalanced '}' at file scope")
         elif (
             sig[k].kind is _IDENTIFIER
-            and texts[k + 1 : k + 2] == ["("]
+            and texts[k + 1 : k + 2] == ("(",)
             and (close := match.get(k + 1)) is not None
-            and texts[close + 1 : close + 2] == ["{"]
+            and texts[close + 1 : close + 2] == ("{",)
         ):
             end = _block_end(match, close + 1)
             units.append(
                 FunctionUnit(
                     name=text,
-                    signature_key=_signature_key(sig[boundary : close + 1], k - boundary),
                     header_tokens=tuple(tokens[at[boundary] : at[close] + 1]),
                     body_tokens=tuple(tokens[at[close + 1] : at[end - 1] + 1]),
+                    _significant=sig[boundary:end],
+                    _texts=texts[boundary:end],
+                    _header_length=close + 1 - boundary,
+                    _name_index=k - boundary,
                 )
             )
             k = boundary = end
@@ -304,9 +346,11 @@ def extract_functions(tokens: list[Token]) -> list[FunctionUnit]:
 
 
 def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
-    """Heuristic role per identifier spelling within one function.
+    """Role of each identifier and literal spelling within one function.
 
-    An occurrence followed by "(" is a function name; one preceded by
+    Keys follow first occurrence, so the one walk serves abstraction's ID
+    numbering too. String and char literals are LITERAL. For identifiers,
+    an occurrence followed by "(" is a function name; one preceded by
     struct/union/enum, or sitting in type position at a declaration
     boundary (followed by stars and another identifier), is a type name;
     everything else is a variable. All occurrences of a spelling share the
@@ -314,16 +358,19 @@ def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
     upgrades a variable.
     """
     sig = fn.significant_tokens()
-    texts = [t.text for t in sig]
+    texts = fn.significant_texts()
     called = set(compress(texts, map("(".__eq__, texts[1:])))
     # each spelling's first index: zipping in reverse leaves the lowest
     first = dict(zip(reversed(texts), range(len(texts) - 1, -1, -1)))
     roles: dict[str, Role] = {}
     for idx in sorted(first.values()):
-        if sig[idx].kind is not _IDENTIFIER:
+        kind = sig[idx].kind
+        if kind is not _IDENTIFIER:
+            if kind in _LITERALS:
+                roles[texts[idx]] = Role.LITERAL
             continue
         text = texts[idx]
-        if texts[idx + 1 : idx + 2] == ["("]:
+        if texts[idx + 1 : idx + 2] == ("(",):
             roles[text] = Role.FUNCTION
         elif (idx > 0 and texts[idx - 1] in _TAG_KEYWORDS) or _in_type_position(sig, texts, idx):
             roles[text] = Role.TYPE
@@ -334,10 +381,10 @@ def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
     return roles
 
 
-def _in_type_position(sig: list[Token], texts: list[str], idx: int) -> bool:
+def _in_type_position(sig: tuple[Token, ...], texts: tuple[str, ...], idx: int) -> bool:
     if idx > 0 and texts[idx - 1] not in _DECL_BOUNDARY:
         return False
     j = idx + 1
-    while texts[j : j + 1] == ["*"]:
+    while texts[j : j + 1] == ("*",):
         j += 1
     return j < len(sig) and sig[j].kind is _IDENTIFIER

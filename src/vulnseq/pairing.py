@@ -87,9 +87,7 @@ def pair_functions(
 
 def label_pair(pair: FunctionPair, path: str = "") -> LabeledFunction:
     """Changed (beyond whitespace/comments) means vulnerable."""
-    before_texts = [t.text for t in pair.before.significant_tokens()]
-    after_texts = [t.text for t in pair.after.significant_tokens()]
-    if before_texts != after_texts:
+    if pair.before.significant_texts() != pair.after.significant_texts():
         return LabeledFunction(
             Label.VULNERABLE, pair.before, pair.after, path, pair.before.name
         )

@@ -276,11 +276,6 @@ def recurrent_cell(x, h, c, params):
     return Hs[1], Cs[1]
 
 
-def _encoder_weights(p):
-    """The encoder's W, U and b with the two directions stacked on axis 0."""
-    return tuple(np.stack([p[f"enc_fwd_{k}"], p[f"enc_bwd_{k}"]]) for k in "WUb")
-
-
 def _bridge(p, h_cat, c_cat):
     """Decoder initial states from the concatenated final encoder states."""
     return [
@@ -296,15 +291,16 @@ def _encoder_forward(p, seqs: list[list[int]], pe: _Packing):
     """Both encoder directions over seqs, packed by pe, as one recurrence.
 
     Direction 1 reads each row backwards. Returns the packed ids (2, N),
-    their embeddings, the gates and the trace: what backpropagation reads.
+    their embeddings, the gates, the trace, and the W and U of the two
+    directions stacked on axis 0: what backpropagation reads.
     """
     ids = np.stack([_packed_ids(pe, seqs), _packed_ids(pe, seqs, reverse=True)])
-    W, U, b = _encoder_weights(p)
+    W, U, b = (np.stack([p[f"enc_fwd_{k}"], p[f"enc_bwd_{k}"]]) for k in "WUb")
     X = p["embedding"][ids]
     Z = X @ W
     Z += b[:, None, :]
     zeros = np.zeros((2, len(seqs), U.shape[-2]))
-    return ids, X, Z, _packed_lstm_forward(Z, zeros, zeros, U, pe)
+    return ids, X, Z, _packed_lstm_forward(Z, zeros, zeros, U, pe), W, U
 
 
 def _encode_batch(model: Seq2SeqModel, inputs: list[list[int]]):

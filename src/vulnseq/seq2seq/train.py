@@ -25,7 +25,6 @@ from .model import (
     _bridge,
     _decoder_forward,
     _encoder_forward,
-    _encoder_weights,
     _pack,
     _packed_ids,
     _Packing,
@@ -153,8 +152,7 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     perm = rank[pd.order]
 
     # ---- encoder forward: both directions as one stacked recurrence
-    enc_ids, eX, eZ, e_trace = _encoder_forward(p, enc, pe)
-    eW, eU, _ = _encoder_weights(p)
+    enc_ids, eX, eZ, e_trace, eW, eU = _encoder_forward(p, enc, pe)
     fin = pe.last[perm]
     h_cat = np.concatenate(e_trace[0][:, fin], axis=1)
     c_cat = np.concatenate(e_trace[1][:, fin], axis=1)

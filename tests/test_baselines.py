@@ -5,6 +5,7 @@ import datetime
 import json
 import math
 
+import numpy as np
 import pytest
 
 from vulnseq.baselines import (
@@ -270,8 +271,44 @@ def _reference_train_classifier(features, cfg):
     return LinearClassifier(weights, bias, cfg.threshold)
 
 
+def _where_loop_train_classifier(features, cfg):
+    """train_classifier as it was before the sigmoid shared its divisor.
+
+    Kept as the oracle for exact equality: both sigmoids divide the same
+    numerator by the same 1 + exp(-|z|).
+    """
+    names = sorted({name for fv, _ in features for name in fv.values})
+    n, d = len(features), len(names)
+    index = {name: j for j, name in enumerate(names)}
+    x = np.zeros((n, d))
+    y = np.array([1.0 if label else 0.0 for _, label in features])
+    for i, (fv, _) in enumerate(features):
+        for name, value in fv.values.items():
+            x[i, index[name]] = value
+    mean = x.mean(axis=0)
+    var = ((x - mean) ** 2).mean(axis=0)
+    std = np.where(var > 0, np.sqrt(var), 1.0)
+    x = (x - mean) / std
+
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(cfg.iterations):
+        z = b + x @ w
+        ez = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        err = (p - y) / n
+        w = w - cfg.learning_rate * (cfg.l2 * 2.0 * w + err @ x)
+        b -= cfg.learning_rate * float(err.sum())
+
+    raw = w / std
+    weights = {name: float(raw[j]) for name, j in index.items()}
+    bias = b - float(raw @ mean)
+    return LinearClassifier(weights, bias, cfg.threshold)
+
+
 def _assert_same_classifier(rows, cfg):
     got = train_classifier(rows, cfg)
+    assert got == _where_loop_train_classifier(rows, cfg)
     want = _reference_train_classifier(rows, cfg)
     assert got.bias == pytest.approx(want.bias, rel=1e-9, abs=1e-12)
     assert got.weights.keys() == want.weights.keys()

@@ -164,6 +164,13 @@ def test_extract_skips_non_function_constructs():
     assert [u.name for u in units] == ["get_x", "noop"]
 
 
+def test_blank_line_ends_a_continued_directive():
+    # a backslash-newline splices only the first newline after it
+    for gap, want in (("", []), ("\n", ["f"]), ("  \n\t", ["f"])):
+        src = f"#define X 1 \\\n{gap}int f(void) {{ return 0; }}\n"
+        assert [u.name for u in extract_functions(tokenize(src))] == want, src
+
+
 def test_extract_body_brackets():
     units = extract_functions(tokenize("int f(void) { if (1) { g(); } return 0; }"))
     assert len(units) == 1

@@ -7,7 +7,13 @@ has not seen a fix for.
 
 import pytest
 
-from vulnseq.abstraction import SeqRole, SequenceMeta, abstract_function, to_sequences
+from vulnseq.abstraction import (
+    SeqRole,
+    SequenceMeta,
+    abstract_function,
+    source_sequences,
+    to_sequences,
+)
 from vulnseq.corpus import ComponentRecord, Label, Release
 from vulnseq.cparse import extract_functions, tokenize
 from vulnseq.pairing import PairingConfig, build_training_pairs, labeled_functions_from_component
@@ -157,3 +163,24 @@ def test_verdict_consistency_is_enforced():
         ComponentVerdict("p.c", True, (), 1)
     with pytest.raises(AssertionError):
         ComponentVerdict("p.c", False, (("f", 0),), 1)
+
+
+def test_prediction_and_call_features_build_no_signature_key(monkeypatch):
+    # only pairing reads a unit's signature key, so the others never pay for it
+    from vulnseq import cparse
+    from vulnseq.baselines import call_features
+    from vulnseq.pairing import pair_functions
+
+    component = _component("s.c", VULN_SOURCE)
+    vocab = build_vocabulary(source_sequences("s.c", VULN_SOURCE), min_count=1)
+    model = init_model(ModelConfig(embedding_dim=8, hidden_units=8, seed=3), vocab)
+    built = []
+    build = cparse._signature_key
+    monkeypatch.setattr(cparse, "_signature_key", lambda *args: built.append(args) or build(*args))
+    release = Release("r1", datetime.date(2020, 1, 1), (component,))
+    assert predict_release(model, release)[0].total_sequences == 2
+    assert call_features(component).values == {}
+    assert built == []
+    units = extract_functions(tokenize(VULN_SOURCE))
+    assert len(pair_functions(units, units)[0]) == 2
+    assert len(built) == 2
