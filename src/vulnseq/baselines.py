@@ -5,7 +5,9 @@ include targets, called function names, and static size/complexity
 metrics. All feed one logistic-loss linear classifier trained by
 full-batch gradient descent. Feature standardization is folded back into
 the returned weights, so the classifier applies directly to raw feature
-maps.
+maps. A run fits the classifiers of all its release pairs in lockstep, in
+one gradient-descent loop (train_classifiers), and each gets the bits it
+would get fitted alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from .cparse import (
     strip_noise,
     tokenize,
 )
-from .errors import ConfigError, DegenerateLabels, LexError, StructureError
+from .errors import (
+    ConfigError,
+    DegenerateLabels,
+    LexError,
+    NumericalError,
+    StructureError,
+    VulnseqError,
+)
 from .evaluate import EvaluationReport, run_release_pairs
 
 DEFAULT_BINS = 10
@@ -112,14 +121,14 @@ def static_metric_features(component: ComponentRecord) -> FeatureVector:
     cyclomatic = 0
     max_nesting = 0
     for fn in functions:
-        body = strip_noise(list(fn.body_tokens))
-        cyclomatic += 1 + sum(1 for t in body if t.text in _BRANCH_TOKENS)
+        body = fn.body_texts()
+        cyclomatic += 1 + sum(1 for text in body if text in _BRANCH_TOKENS)
         depth = 0
-        for t in body:
-            if t.text == "{":
+        for text in body:
+            if text == "{":
                 depth += 1
                 max_nesting = max(max_nesting, depth)
-            elif t.text == "}":
+            elif text == "}":
                 depth -= 1
     values = {
         "met:loc": float(loc),
@@ -170,21 +179,16 @@ class LinearClassifier:
         return self.score(fv) > self.threshold
 
 
-def train_classifier(
-    features: list[tuple[FeatureVector, bool]], cfg: ClassifierConfig
-) -> LinearClassifier:
-    """Logistic regression, full-batch gradient descent on standardized
-    features; the standardization is folded into the returned weights."""
-    cfg.validate()
+def _standardized(features: list[tuple[FeatureVector, bool]]):
+    """One training set as (names, standardized x, y, column means, scales)."""
     if not features:
         raise DegenerateLabels("no training components")
     labels = {label for _, label in features}
     if len(labels) < 2:
         raise DegenerateLabels("training components carry a single label")
     names = sorted({name for fv, _ in features for name in fv.values})
-    n, d = len(features), len(names)
     index = {name: j for j, name in enumerate(names)}
-    x = np.zeros((n, d))
+    x = np.zeros((len(features), len(names)))
     y = np.array([1.0 if label else 0.0 for _, label in features])
     for i, (fv, _) in enumerate(features):
         for name, value in fv.values.items():
@@ -192,24 +196,92 @@ def train_classifier(
     mean = x.mean(axis=0)
     var = ((x - mean) ** 2).mean(axis=0)
     std = np.where(var > 0, np.sqrt(var), 1.0)
-    x = (x - mean) / std
+    return names, (x - mean) / std, y, mean, std
 
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(cfg.iterations):
-        z = b + x @ w
-        # overflow-safe sigmoid: exp only ever sees -|z|
-        ez = np.exp(-np.abs(z))
-        p = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
-        err = (p - y) / n
-        w = w - cfg.learning_rate * (cfg.l2 * 2.0 * w + err @ x)
-        b -= cfg.learning_rate * float(err.sum())
 
-    # fold standardization: w_raw = w/std, bias absorbs the means
-    raw = w / std
-    weights = {name: float(raw[j]) for name, j in index.items()}
-    bias = b - float(raw @ mean)
-    return LinearClassifier(weights, bias, cfg.threshold)
+def train_classifiers(
+    sets: list[list[tuple[FeatureVector, bool]]], cfg: ClassifierConfig
+) -> list[LinearClassifier | VulnseqError]:
+    """Logistic regression, full-batch gradient descent on standardized
+    features, for many training sets in one loop; the standardization is
+    folded into the returned weights.
+
+    Returns one outcome per set, in order: its classifier, or the error
+    that stopped its fit (DegenerateLabels for a single-class or empty
+    set, NumericalError when its weights or bias end non-finite). Each
+    set gets the bits a loop over that set alone would give: the
+    elementwise steps run once over the sets' concatenated rows and
+    weights, while each set keeps its own matrix-vector products and its
+    own bias sum, so BLAS and the pairwise sum see the same calls.
+    """
+    cfg.validate()
+    outcomes: list = [None] * len(sets)
+    fits = []
+    for slot, features in enumerate(sets):
+        try:
+            fits.append((slot, *_standardized(features)))
+        except DegenerateLabels as exc:
+            outcomes[slot] = exc
+    if not fits:
+        return outcomes
+    slots, names, xs, ys, means, stds = zip(*fits)
+
+    ns = [len(y) for y in ys]
+    row_ends = np.cumsum(ns)[:-1]
+    col_ends = np.cumsum([x.shape[1] for x in xs])[:-1]
+    y = np.concatenate(ys)
+    n = np.repeat(np.array(ns, dtype=float), ns)  # each row's set size
+    set_of_row = np.repeat(np.arange(len(fits)), ns)
+    w = np.zeros(sum(x.shape[1] for x in xs))
+    grad = np.empty_like(w)
+    z = np.empty(len(y))
+    err = np.empty_like(z)
+    b = np.zeros(len(fits))
+    err_sums = np.empty_like(b)
+    # each set's views of the concatenated arrays
+    ws, grads = np.split(w, col_ends), np.split(grad, col_ends)
+    zs, errs = np.split(z, row_ends), np.split(err, row_ends)
+
+    # a diverging set overflows: its outcome says so, stderr does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            for x, w_k, z_k in zip(xs, ws, zs):
+                np.matmul(x, w_k, out=z_k)
+            z += b[set_of_row]
+            # overflow-safe sigmoid: exp only ever sees -|z|
+            ez = np.exp(-np.abs(z))
+            p = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+            np.divide(p - y, n, out=err)
+            for k, (x, err_k, grad_k) in enumerate(zip(xs, errs, grads)):
+                np.matmul(err_k, x, out=grad_k)
+                err_sums[k] = err_k.sum()
+            w -= cfg.learning_rate * (cfg.l2 * 2.0 * w + grad)
+            b -= cfg.learning_rate * err_sums
+
+        for slot, names_k, w_k, b_k, mean, std in zip(
+            slots, names, ws, b.tolist(), means, stds
+        ):
+            # fold standardization: w_raw = w/std, bias absorbs the means
+            raw = w_k / std
+            bias = b_k - float(raw @ mean)
+            if np.isfinite(raw).all() and math.isfinite(bias):
+                weights = dict(zip(names_k, raw.tolist()))
+                outcomes[slot] = LinearClassifier(weights, bias, cfg.threshold)
+            else:
+                outcomes[slot] = NumericalError(
+                    "classifier weights or bias went non-finite", step=cfg.iterations
+                )
+    return outcomes
+
+
+def train_classifier(
+    features: list[tuple[FeatureVector, bool]], cfg: ClassifierConfig
+) -> LinearClassifier:
+    """``train_classifiers`` on one training set; raises its error."""
+    (outcome,) = train_classifiers([features], cfg)
+    if isinstance(outcome, VulnseqError):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -249,14 +321,20 @@ def run_baseline(
     def features(component: ComponentRecord) -> FeatureVector:
         return extract_features(component, technique, bins)
 
-    def fit_predict(material, test_release):
-        training = [(features(c), True) for c in material.fix_pairs] + [
-            (features(c), False) for c in material.non_vulnerable
-        ]
-        model = train_classifier(training, cfg)
+    def fit(materials):
+        return train_classifiers(
+            [
+                [(features(c), True) for c in material.fix_pairs]
+                + [(features(c), False) for c in material.non_vulnerable]
+                for material in materials
+            ],
+            cfg,
+        )
+
+    def predict(model, test_release):
         return [
             BaselinePrediction(c.path, model.predict(features(c)))
             for c in test_release.components
         ]
 
-    return run_release_pairs(corpus, setting, fit_predict)
+    return run_release_pairs(corpus, setting, fit, predict)

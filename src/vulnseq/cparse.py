@@ -88,6 +88,10 @@ class FunctionUnit:
         """The texts of ``significant_tokens()``."""
         return self._texts
 
+    def body_texts(self) -> tuple[str, ...]:
+        """The texts of the body's significant tokens, braces included."""
+        return self._texts[self._header_length :]
+
     @cached_property
     def signature_key(self) -> str:
         """Return type, name and parameter types, with parameter names dropped."""

@@ -3,10 +3,13 @@
 Experiments walk consecutive release pairs: train on release i under the
 chosen setting, predict release i+1, score against full-hindsight labels.
 The sequence model (run_experiment) and the classical baselines
-(baselines.run_baseline) share that walk, run_release_pairs. A pair that
-cannot train (for instance a realistic setting whose vulnerabilities were
-all detected too late) produces a failed report row rather than aborting
-the run.
+(baselines.run_baseline) share that walk, run_release_pairs. It builds
+every pair's training material first, hands the built materials to one
+fit call, then predicts and scores pair by pair; the baselines fit every
+pair's classifier in that one call, the sequence model trains one pair
+after another. A pair that cannot train (for instance a realistic setting
+whose vulnerabilities were all detected too late) produces a failed
+report row rather than aborting the run.
 """
 
 from __future__ import annotations
@@ -17,13 +20,16 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, TypeVar
 
 from .corpus import Corpus, Label, Release, Setting, TrainingMaterial, training_material
 from .errors import ConfigError, MissingLabel, VulnseqError
 from .pairing import PairingConfig, build_training_pairs, labeled_functions_from_material
 from .predict import predict_release
 from .seq2seq import ModelConfig, split_holdout, train
+
+
+Model = TypeVar("Model")
 
 
 class PredictionLike(Protocol):
@@ -135,24 +141,41 @@ def novel_existing_breakdown(
 def run_release_pairs(
     corpus: Corpus,
     setting: Setting,
-    fit_predict: Callable[[TrainingMaterial, Release], list[PredictionLike]],
+    fit: Callable[[list[TrainingMaterial]], list[Model | VulnseqError]],
+    predict: Callable[[Model, Release], list[PredictionLike]],
 ) -> list[EvaluationReport]:
     """The release-pair protocol shared by every technique.
 
-    For each consecutive pair (i, i+1), fit_predict receives release i's
-    training material under the setting and returns its predictions for
-    release i+1, which are scored against that release's labels.
+    For each consecutive pair (i, i+1) it builds release i's training
+    material under the setting. One fit call then receives every built
+    material, in pair order, and returns one outcome per material: a
+    model, or the VulnseqError that stopped that pair's fit. Last, pair
+    by pair, predict(model, release i+1) is scored against that
+    release's labels. A pair whose material, fit, prediction or scoring
+    raises a VulnseqError gets a failed row.
     """
     if len(corpus.releases) < 2:
         raise ConfigError("an experiment needs at least two releases")
+    n_pairs = len(corpus.releases) - 1
+    outcomes: list[Model | VulnseqError | None] = [None] * n_pairs
+    built: list[tuple[int, TrainingMaterial]] = []
+    for i in range(n_pairs):
+        try:
+            built.append((i, training_material(corpus, i, setting)))
+        except VulnseqError as exc:
+            outcomes[i] = exc
+    fitted = fit([material for _, material in built])
+    for (i, _), outcome in zip(built, fitted, strict=True):
+        outcomes[i] = outcome
+
     reports: list[EvaluationReport] = []
-    for i in range(len(corpus.releases) - 1):
+    for i, outcome in enumerate(outcomes):
         train_release = corpus.releases[i]
         test_release = corpus.releases[i + 1]
         try:
-            predictions = fit_predict(
-                training_material(corpus, i, setting), test_release
-            )
+            if isinstance(outcome, VulnseqError):
+                raise outcome
+            predictions = predict(outcome, test_release)
             truth = {c.path: c.label for c in test_release.components}
             cm = confusion(predictions, truth)
             m = metrics(cm)
@@ -192,16 +215,22 @@ def run_experiment(
     model_config: ModelConfig,
     pairing_config: PairingConfig,
 ) -> list[EvaluationReport]:
-    """The sequence model through the release-pair protocol."""
+    """The sequence model through the release-pair protocol, one pair's
+    training after another."""
 
-    def fit_predict(material, test_release):
-        labeled = labeled_functions_from_material(material)
-        pairs = build_training_pairs(labeled, pairing_config)
-        train_pairs, validation = split_holdout(pairs, 0.1, seed=model_config.seed)
-        model = train(train_pairs, validation, model_config)
-        return predict_release(model, test_release)
+    def fit(materials):
+        models = []
+        for material in materials:
+            try:
+                labeled = labeled_functions_from_material(material)
+                pairs = build_training_pairs(labeled, pairing_config)
+                train_pairs, validation = split_holdout(pairs, 0.1, seed=model_config.seed)
+                models.append(train(train_pairs, validation, model_config))
+            except VulnseqError as exc:
+                models.append(exc)
+        return models
 
-    return run_release_pairs(corpus, setting, fit_predict)
+    return run_release_pairs(corpus, setting, fit, predict_release)
 
 
 _SUMMARY_FIELDS = (

@@ -14,6 +14,7 @@ backpropagates through it without touching padding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,19 @@ class TrainingState:
 def vocabulary_from_pairs(pairs: list[TrainingPair], min_count: int = 1) -> Vocabulary:
     seqs = [p.input for p in pairs] + [p.target for p in pairs]
     return build_vocabulary(seqs, min_count)
+
+
+class _EncodedPair(NamedTuple):
+    """A training pair's input and target ids under the model's vocabulary."""
+
+    input_ids: list[int]
+    target_ids: list[int]
+
+
+def _encode_pair(vocab: Vocabulary, pair: TrainingPair | _EncodedPair) -> _EncodedPair:
+    if isinstance(pair, _EncodedPair):
+        return pair
+    return _EncodedPair(vocab.encode(pair.input.tokens), vocab.encode(pair.target.tokens))
 
 
 def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
@@ -133,13 +147,14 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     Every layer projects its inputs for all rows with one GEMM before its
     time loop, so the loops hold only h·U and the cell update; backward
     defers each layer's weight gradients to one GEMM over its stacked dz.
+    ``train()`` passes its pairs already encoded, once per call.
     """
     if not batch:
         raise ConfigError("empty batch")
     p = model.params
-    vocab = model.vocabulary
-    enc = [vocab.encode(pair.input.tokens) for pair in batch]
-    tgt = [vocab.encode(pair.target.tokens) for pair in batch]
+    encoded = [_encode_pair(model.vocabulary, pair) for pair in batch]
+    enc = [pair.input_ids for pair in encoded]
+    tgt = [pair.target_ids for pair in encoded]
     n = len(batch)
     grads: dict[str, np.ndarray] = {}
     pe = _pack([len(s) for s in enc])
@@ -304,6 +319,7 @@ def train(
         raise ConfigError("no training pairs")
     vocab = vocabulary_from_pairs(pairs, config.min_count)
     model = init_model(config, vocab)
+    encoded = [_encode_pair(vocab, pair) for pair in pairs]
     state = state if state is not None else TrainingState()
     shuffle_rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     best_rate = -1.0
@@ -318,7 +334,7 @@ def train(
                 pos = 0
             take = order[pos : pos + config.batch_size]
             pos += len(take)
-            train_step([pairs[i] for i in take], model, state)
+            train_step([encoded[i] for i in take], model, state)
         if validation:
             rate = exact_match_rate(model, validation)
             state.validation_history.append((state.step, rate))

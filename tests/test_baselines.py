@@ -4,6 +4,8 @@ import dataclasses
 import datetime
 import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +24,24 @@ from vulnseq.baselines import (
     static_metric_features,
     token_frequencies,
     train_classifier,
+    train_classifiers,
 )
-from vulnseq.corpus import ComponentRecord, Label, VulnerabilityRecord, clean_training_set
-from vulnseq.errors import ConfigError, DegenerateLabels
-from vulnseq.evaluate import Setting, report_to_dict
+from vulnseq.corpus import (
+    ComponentRecord,
+    Label,
+    VulnerabilityRecord,
+    clean_training_set,
+    training_material,
+)
+from vulnseq.errors import ConfigError, DegenerateLabels, NumericalError, VulnseqError
+from vulnseq.evaluate import (
+    EvaluationReport,
+    Setting,
+    confusion,
+    metrics,
+    novel_existing_breakdown,
+    report_to_dict,
+)
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
 from conftest import IGMP_VULN, IGMP_FIXED
@@ -332,6 +348,103 @@ def test_classifier_matches_reference_loop_on_synthetic_features(technique):
     _assert_same_classifier(rows, ClassifierConfig(iterations=100))
 
 
+# --- lockstep fits -----------------------------------------------------
+
+
+def _random_set(rng, n, d, constant=0):
+    """n rows over up to d features plus `constant` zero-variance ones;
+    row 0 is vulnerable and row 1 clean, so both labels occur."""
+    rows = []
+    for i in range(n):
+        values = {f"c{j}": 2.0 for j in range(constant)}
+        values.update(
+            (f"f{j}", rng.choice([0.0, 1.0, 3.0, rng.gauss(0.0, 5.0)]))
+            for j in range(d)
+            if rng.random() < 0.7
+        )
+        rows.append((FeatureVector(f"p{i}.c", values), i % 3 == 0))
+    return rows
+
+
+def _lockstep_sets():
+    rng = random.Random(0)
+    return [
+        _random_set(rng, 40, 3),
+        _random_set(rng, 2, 1),  # the smallest valid set, one feature
+        _random_set(rng, 17, 0, constant=1),  # its only feature is constant
+        _random_set(rng, 60, 130, constant=2),
+        _random_set(rng, 9, 405),
+        _random_set(rng, 12, 0),  # no features at all
+        _toy_features(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ClassifierConfig(),
+        ClassifierConfig(iterations=0),
+        ClassifierConfig(iterations=40, learning_rate=3.0, l2=0.0),
+    ],
+)
+def test_lockstep_fits_equal_one_set_fits_bit_for_bit(cfg):
+    sets = _lockstep_sets()
+    fitted = train_classifiers(sets, cfg)
+    assert len(fitted) == len(sets)
+    for rows, model in zip(sets, fitted):
+        assert model == train_classifier(rows, cfg)
+        assert model == _where_loop_train_classifier(rows, cfg)
+    assert train_classifiers(sets[::-1], cfg) == fitted[::-1]
+
+
+def test_a_degenerate_set_fails_only_itself():
+    cfg = ClassifierConfig()
+    valid = _lockstep_sets()[:2]
+    one_label = [(FeatureVector("a.c", {"f0": 1.0}), True), (FeatureVector("b.c", {}), True)]
+    fitted = train_classifiers([valid[0], one_label, [], valid[1]], cfg)
+    assert isinstance(fitted[1], DegenerateLabels)
+    assert str(fitted[1]) == "training components carry a single label"
+    assert isinstance(fitted[2], DegenerateLabels)
+    assert str(fitted[2]) == "no training components"
+    assert fitted[0] == train_classifier(valid[0], cfg)
+    assert fitted[3] == train_classifier(valid[1], cfg)
+
+
+def _label_blind_set():
+    """Balanced labels and a feature orthogonal to them: every gradient is
+    exactly zero, so the fit stays at its start whatever the step size."""
+    return [
+        (FeatureVector("a.c", {"f": 1.0}), True),
+        (FeatureVector("b.c", {"f": 0.0}), True),
+        (FeatureVector("c.c", {"f": 1.0}), False),
+        (FeatureVector("d.c", {"f": 0.0}), False),
+    ]
+
+
+def test_a_diverging_set_fails_only_itself_and_warns_nothing():
+    # a step of 1e5 against an L2 of 1e-3 multiplies the weights by -199
+    # per iteration once the gradient makes them non-zero
+    cfg = ClassifierConfig(learning_rate=1e5)
+    blind = _label_blind_set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitted = train_classifiers([blind, _toy_features(), blind], cfg)
+        with pytest.raises(NumericalError):
+            train_classifier(_toy_features(), cfg)
+    assert isinstance(fitted[1], NumericalError)
+    assert fitted[0] == fitted[2] == train_classifier(blind, cfg)
+    assert fitted[0].weights == {"f": 0.0}
+    assert fitted[0].bias == 0.0
+
+
+@pytest.mark.parametrize(
+    "cfg", [ClassifierConfig(learning_rate=1e300), ClassifierConfig(l2=1e300)]
+)
+def test_non_finite_weights_raise(cfg):
+    with pytest.raises(NumericalError, match="non-finite"):
+        train_classifier(_toy_features(), cfg)
+
+
 # --- experiment runs ----------------------------------------------------
 
 
@@ -402,6 +515,83 @@ def test_each_component_is_featurised_once_per_run(monkeypatch):
     distinct = {c for r in corpus.releases for c in r.components}
     assert len(calls) == len(distinct)
     assert set(calls) == distinct
+
+
+def _one_set_fit(rows, cfg):
+    """train_classifier as the one-set loop it was, with its label checks."""
+    if not rows:
+        raise DegenerateLabels("no training components")
+    if len({label for _, label in rows}) < 2:
+        raise DegenerateLabels("training components carry a single label")
+    return _where_loop_train_classifier(rows, cfg)
+
+
+def _per_pair_run_baseline(corpus, technique, setting):
+    """run_baseline as the loop that fitted and scored one pair at a time,
+    kept as the oracle for the walk that fits every pair at once."""
+    cfg = ClassifierConfig()
+    reports = []
+    for i in range(len(corpus.releases) - 1):
+        train_release, test_release = corpus.releases[i], corpus.releases[i + 1]
+        try:
+            material = training_material(corpus, i, setting)
+            model = _one_set_fit(
+                [(extract_features(c, technique), True) for c in material.fix_pairs]
+                + [(extract_features(c, technique), False) for c in material.non_vulnerable],
+                cfg,
+            )
+            predictions = [
+                BaselinePrediction(c.path, model.predict(extract_features(c, technique)))
+                for c in test_release.components
+            ]
+            cm = confusion(predictions, {c.path: c.label for c in test_release.components})
+            m = metrics(cm)
+            existing, novel = novel_existing_breakdown(predictions, test_release, train_release)
+            reports.append(
+                EvaluationReport(
+                    train_release.name, test_release.name, setting, matrix=cm,
+                    precision=m.precision, recall=m.recall, f_measure=m.f_measure, mcc=m.mcc,
+                    existing_detected_pct=existing, novel_detected_pct=novel,
+                )
+            )
+        except VulnseqError as exc:
+            reports.append(
+                EvaluationReport(
+                    train_release.name, test_release.name, setting, failed=True, error=str(exc)
+                )
+            )
+    return reports
+
+
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_reports_equal_the_per_pair_loop(seed):
+    corpus = generate_synthetic_corpus(seed, SynthesisSpec(components_per_release=20))
+    for technique in Technique:
+        for setting in Setting:
+            want = _per_pair_run_baseline(corpus, technique, setting)
+            assert run_baseline(corpus, technique, setting) == want, (technique, setting)
+
+
+def test_run_baseline_fits_every_pair_in_one_call(monkeypatch):
+    corpus = generate_synthetic_corpus(
+        3, SynthesisSpec(n_releases=4, components_per_release=12)
+    )
+    calls = []
+
+    def spy(sets, cfg):
+        calls.append(len(sets))
+        return train_classifiers(sets, cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pair was fitted on its own")
+
+    monkeypatch.setattr("vulnseq.baselines.train_classifiers", spy)
+    monkeypatch.setattr("vulnseq.baselines.train_classifier", forbidden)
+    for technique in Technique:
+        calls.clear()
+        reports = run_baseline(corpus, technique, Setting.CLEAN)
+        assert calls == [3]
+        assert not any(r.failed for r in reports)
 
 
 def test_baseline_requires_two_releases(synth_corpus):

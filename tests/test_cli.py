@@ -5,6 +5,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -468,6 +469,23 @@ def test_baseline_subcommand(corpus_file, tmp_path):
                  "-o", str(out)]) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["kind"] for r in rows] == ["report", "report", "summary"]
+
+
+@pytest.mark.parametrize("flags", [["--learning-rate", "1e5"], ["--l2", "1e300"]])
+def test_diverging_baseline_fails_its_rows_quietly(flags, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "42", "-o", str(corpus)]) == 0
+    out = tmp_path / "base.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["baseline", "-i", str(corpus), "--technique", "metrics",
+                     *flags, "-o", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["failed"] for r in rows[:-1]] == [True, True, True]
+    assert all("non-finite" in r["error"] for r in rows[:-1])
+    assert rows[-1]["failed_rows"] == 3
 
 
 def test_pipeline_is_byte_deterministic(tmp_path):

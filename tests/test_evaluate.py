@@ -12,7 +12,13 @@ from vulnseq.corpus import (
     Release,
     VulnerabilityRecord,
 )
-from vulnseq.errors import ConfigError, MissingLabel
+from vulnseq.errors import (
+    ConfigError,
+    DegenerateLabels,
+    IntegrityError,
+    MissingLabel,
+    NumericalError,
+)
 from vulnseq.evaluate import (
     ConfusionMatrix,
     EvaluationReport,
@@ -24,11 +30,13 @@ from vulnseq.evaluate import (
     reports_to_csv,
     reports_to_jsonl,
     run_experiment,
+    run_release_pairs,
     summarize,
 )
 from vulnseq.pairing import PairingConfig
 from vulnseq.predict import ComponentVerdict
 from vulnseq.seq2seq import ModelConfig
+from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
 
 def _verdict(path, flag):
@@ -267,6 +275,63 @@ def test_failed_release_pair_recorded_not_raised():
     assert all(r.failed for r in reports)
     assert all(r.error for r in reports)
     assert all(r.matrix is None for r in reports)
+
+
+def test_walk_builds_every_material_then_fits_once_then_scores(monkeypatch):
+    import vulnseq.evaluate as ev
+
+    corpus = generate_synthetic_corpus(3, SynthesisSpec(n_releases=4, components_per_release=6))
+    events = []
+
+    def material(corpus_, i, setting):
+        events.append(("material", i))
+        if i == 1:
+            raise IntegrityError("pair 1 has no material")
+        return ("material of", i)
+
+    def fit(materials):
+        events.append(("fit", materials))
+        return ["model 0", DegenerateLabels("pair 2 has one label")]
+
+    def predict(model, release):
+        events.append(("predict", model, release.name))
+        return [_verdict(c.path, False) for c in release.components]
+
+    monkeypatch.setattr(ev, "training_material", material)
+    reports = run_release_pairs(corpus, Setting.CLEAN, fit, predict)
+    assert events == [
+        ("material", 0),
+        ("material", 1),
+        ("material", 2),
+        ("fit", [("material of", 0), ("material of", 2)]),
+        ("predict", "model 0", "r1"),
+    ]
+    assert [r.failed for r in reports] == [False, True, True]
+    assert [r.error for r in reports] == [None, "pair 1 has no material", "pair 2 has one label"]
+    assert [(r.train_release, r.test_release) for r in reports] == [
+        ("r0", "r1"), ("r1", "r2"), ("r2", "r3")
+    ]
+
+
+def test_a_pair_whose_training_raises_fails_alone(monkeypatch):
+    import vulnseq.evaluate as ev
+
+    original = run_experiment(_mini_corpus(), Setting.CLEAN, _FAST, PairingConfig())
+    train = ev.train
+    calls = []
+
+    def first_diverges(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalError("non-finite loss or gradient", step=3)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "train", first_diverges)
+    reports = run_experiment(_mini_corpus(), Setting.CLEAN, _FAST, PairingConfig())
+    assert len(calls) == 2
+    assert reports[0].failed
+    assert reports[0].error == "non-finite loss or gradient (step 3)"
+    assert reports[1] == original[1]
 
 
 def test_summary_matches_recomputation():

@@ -330,6 +330,8 @@ def _assert_parity(source: str) -> None:
     if isinstance(units, tuple):
         return
     for fn in extract_functions(tokens):
+        body = strip_noise(list(fn.body_tokens))
+        assert fn.body_texts() == tuple(t.text for t in body), source
         _assert_roles_parity(fn)
         assert abstract_function(fn) == reference_abstract_function(fn), source
 

@@ -353,6 +353,33 @@ def test_train_is_deterministic_bit_for_bit(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_train_encodes_each_pair_once(monkeypatch):
+    encoded = []
+    original = Vocabulary.encode
+
+    def counting(self, tokens):
+        encoded.append(tuple(tokens))
+        return original(self, tokens)
+
+    monkeypatch.setattr(Vocabulary, "encode", counting)
+    cfg = dataclasses.replace(TINY, max_steps=30, iteration_steps=10, batch_size=2)
+    train(GRAD_PAIRS, [], cfg)
+    assert len(encoded) == 2 * len(GRAD_PAIRS)
+
+
+def test_encoded_batch_gives_the_same_loss_and_grads():
+    from vulnseq.seq2seq.train import _encode_pair
+
+    model = _tiny_model()
+    encoded = [_encode_pair(model.vocabulary, pair) for pair in GRAD_PAIRS]
+    loss, grads = compute_loss_and_grads(model, GRAD_PAIRS)
+    loss_e, grads_e = compute_loss_and_grads(model, encoded)
+    assert loss == loss_e
+    assert grads.keys() == grads_e.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, grads_e[name]), name
+
+
 def test_single_pair_memorization():
     pairs = [_pair(list("abcdefg"), list("abXdefg"))]
     cfg = ModelConfig(
