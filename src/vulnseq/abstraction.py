@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .cparse import (
     FunctionUnit,
     Role,
+    Spellings,
     classify_identifier_roles,
     extract_functions,
     tokenize,
@@ -148,14 +149,17 @@ def function_sequences(
     return to_sequences(tokens, SequenceMeta(path, fn.name, role))
 
 
-def source_sequences(path: str, source: str) -> list[AbstractedSequence]:
+def source_sequences(
+    path: str, source: str, spellings: Spellings | None = None
+) -> list[AbstractedSequence]:
     """NonVulnerable chunks of every function in one file, in file order.
 
-    Each function gets a fresh ID map. Raises LexError or StructureError
-    when the file cannot be split into functions.
+    Each function gets a fresh ID map; ``spellings`` is as in ``tokenize``.
+    Raises LexError or StructureError when the file cannot be split into
+    functions.
     """
     return [
         seq
-        for fn in extract_functions(tokenize(source))
+        for fn in extract_functions(tokenize(source, spellings))
         for seq in function_sequences(fn, path, SeqRole.NON_VULNERABLE)
     ]

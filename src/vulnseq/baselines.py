@@ -24,8 +24,10 @@ import numpy as np
 from .corpus import ComponentRecord, Corpus, Setting
 from .cparse import (
     Role,
+    Spellings,
     classify_identifier_roles,
     extract_functions,
+    spelling_table,
     strip_noise,
     tokenize,
 )
@@ -60,30 +62,32 @@ class Technique(enum.Enum):
     TEXT_MINING = "TextMining"
 
 
-def _safe_tokens(source: str):
+def _safe_tokens(source: str, spellings: Spellings | None):
     try:
-        return strip_noise(tokenize(source))
+        return strip_noise(tokenize(source, spellings))
     except LexError:
         return []
 
 
-def _safe_functions(source: str):
+def _safe_functions(source: str, spellings: Spellings | None):
     try:
-        return extract_functions(tokenize(source))
+        return extract_functions(tokenize(source, spellings))
     except (LexError, StructureError):
         return []
 
 
-def token_frequencies(source: str) -> Counter[str]:
+def token_frequencies(source: str, spellings: Spellings | None = None) -> Counter[str]:
     """Raw counts over noise-stripped tokens (pre-binning)."""
-    return Counter(t.text for t in _safe_tokens(source))
+    return Counter(t.text for t in _safe_tokens(source, spellings))
 
 
-def bow_features(component: ComponentRecord, bins: int = DEFAULT_BINS) -> FeatureVector:
+def bow_features(
+    component: ComponentRecord, bins: int = DEFAULT_BINS, spellings: Spellings | None = None
+) -> FeatureVector:
     if bins < 1:
         raise ConfigError("bins must be >= 1")
     values = {}
-    for token, count in token_frequencies(component.source).items():
+    for token, count in token_frequencies(component.source, spellings).items():
         # equal-width bins in log2 space: 1 -> 0, 2-3 -> 1, 4-7 -> 2, ...
         bin_index = min(bins - 1, int(math.log2(count)))
         values[f"bow:{token}"] = float(bin_index)
@@ -98,8 +102,8 @@ def import_features(component: ComponentRecord) -> FeatureVector:
     return FeatureVector(component.path, {f"imp:{t}": 1.0 for t in targets})
 
 
-def call_features(component: ComponentRecord) -> FeatureVector:
-    functions = _safe_functions(component.source)
+def call_features(component: ComponentRecord, spellings: Spellings | None = None) -> FeatureVector:
+    functions = _safe_functions(component.source, spellings)
     defined = {fn.name for fn in functions}
     called: set[str] = set()
     for fn in functions:
@@ -115,9 +119,11 @@ def call_features(component: ComponentRecord) -> FeatureVector:
 _BRANCH_TOKENS = {"if", "while", "for", "case", "&&", "||"}
 
 
-def static_metric_features(component: ComponentRecord) -> FeatureVector:
+def static_metric_features(
+    component: ComponentRecord, spellings: Spellings | None = None
+) -> FeatureVector:
     loc = sum(1 for line in component.source.splitlines() if line.strip())
-    functions = _safe_functions(component.source)
+    functions = _safe_functions(component.source, spellings)
     cyclomatic = 0
     max_nesting = 0
     for fn in functions:
@@ -291,15 +297,18 @@ class BaselinePrediction:
 
 
 def extract_features(
-    component: ComponentRecord, technique: Technique, bins: int = DEFAULT_BINS
+    component: ComponentRecord,
+    technique: Technique,
+    bins: int = DEFAULT_BINS,
+    spellings: Spellings | None = None,
 ) -> FeatureVector:
     if technique is Technique.TEXT_MINING:
-        return bow_features(component, bins)
+        return bow_features(component, bins, spellings)
     if technique is Technique.IMPORTS:
         return import_features(component)
     if technique is Technique.FUNCTION_CALLS:
-        return call_features(component)
-    return static_metric_features(component)
+        return call_features(component, spellings)
+    return static_metric_features(component, spellings)
 
 
 def run_baseline(
@@ -316,10 +325,13 @@ def run_baseline(
         raise ConfigError("bins must be >= 1")
 
     # a middle release is pair i's test set and pair i+1's training set;
-    # featurise each component once per run
+    # featurise each component once per run, and classify each distinct
+    # spelling once across the run's components
+    spellings = spelling_table()
+
     @functools.cache
     def features(component: ComponentRecord) -> FeatureVector:
-        return extract_features(component, technique, bins)
+        return extract_features(component, technique, bins, spellings)
 
     def fit(materials):
         return train_classifiers(

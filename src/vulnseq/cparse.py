@@ -8,7 +8,11 @@ identifiers and K&R-style definitions are skipped, not rejected.
 The work per token is bounded: one ``findall`` splits the source, each
 distinct spelling becomes one immutable ``Token`` that all its occurrences
 share (so compare tokens by value, never by identity), and brackets are
-matched in one stack pass per file.
+matched in one stack pass per file. Spellings are classified once per
+call, not once per file: a front-end call over many sources (prediction
+over a release, a baseline run, pairing a release's fix pairs) lexes
+them all with one ``spelling_table()``, which it drops when it returns,
+so nothing is kept from one call to the next.
 
 Each product is built once, and only for the callers that read it. The
 file pass strips noise once; every ``FunctionUnit`` keeps its slices of
@@ -170,25 +174,50 @@ _FIXED_TOKENS = MappingProxyType(
     | {k: Token(k, TokenKind.KEYWORD) for k in KEYWORDS}
 )
 
+# The texts the split yields only where a literal or comment never closes:
+# a closed one is split as a whole, so a lone opener means a LexError.
+_OPENERS = frozenset({"/*", '"', "'"})
 
-def tokenize(source: str) -> list[Token]:
+
+# Spelling -> token, for the sources of one call (see ``spelling_table``).
+Spellings = dict[str, Token]
+
+
+def spelling_table() -> Spellings:
+    """A fresh spelling-to-token table for the sources of one call.
+
+    ``tokenize`` adds each spelling it classifies, so the other sources
+    lexed with the same table reuse it. Seeded with the fixed keyword and
+    punctuator tokens. The call drops it when it returns, so nothing is
+    kept from one call to the next.
+    """
+    return dict(_FIXED_TOKENS)
+
+
+def tokenize(source: str, spellings: Spellings | None = None) -> list[Token]:
     """Lex C source into a lossless token stream.
 
     Preprocessor lines are lexed as ordinary tokens; no macro expansion.
     Raises LexError only for unterminated string/char literals or an
-    unterminated block comment. Equal tokens may be one shared object, so
-    compare tokens by value, never by identity.
+    unterminated block comment. Each distinct spelling is classified once
+    per table: pass one ``spelling_table()`` to every source of a call to
+    share the work across them (a source that raises adds nothing to it).
+    The table must come from ``spelling_table()``: keyword tokens come
+    only from its seed.
+    Equal tokens may be one shared object, so compare tokens by value,
+    never by identity.
     """
     texts = _SPLIT_RE.findall(source)
-    table = dict(_FIXED_TOKENS)
-    for text in set(texts).difference(table):
-        kind = _GROUP_KIND.get(_TOKEN_RE.match(text).lastgroup)
-        if kind is None:
-            m = next(m for m in _TOKEN_RE.finditer(source) if m.lastgroup in _UNTERMINATED)
-            offset = len(source[: m.start()].encode("utf-8"))
-            raise LexError(_UNTERMINATED[m.lastgroup], offset)
-        table[text] = Token(text, kind)
-    return list(map(table.__getitem__, texts))
+    if spellings is None:
+        spellings = spelling_table()
+    new = set(texts).difference(spellings)
+    if not _OPENERS.isdisjoint(new):
+        m = next(m for m in _TOKEN_RE.finditer(source) if m.lastgroup in _UNTERMINATED)
+        offset = len(source[: m.start()].encode("utf-8"))
+        raise LexError(_UNTERMINATED[m.lastgroup], offset)
+    for text in new:
+        spellings[text] = Token(text, _GROUP_KIND[_TOKEN_RE.match(text).lastgroup])
+    return list(map(spellings.__getitem__, texts))
 
 
 _LITERALS = (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .abstraction import AbstractedSequence, IdMap, SeqRole, function_sequences
 from .corpus import Label, TrainingMaterial
-from .cparse import FunctionUnit, extract_functions, tokenize
+from .cparse import FunctionUnit, Spellings, extract_functions, spelling_table, tokenize
 from .errors import ConfigError
 
 
@@ -97,10 +97,14 @@ def label_pair(pair: FunctionPair, path: str = "") -> LabeledFunction:
 
 
 def labeled_functions_from_component(
-    source: str, fixed_source: str, path: str
+    source: str,
+    fixed_source: str,
+    path: str,
+    spellings: Spellings | None = None,
 ) -> list[LabeledFunction]:
-    before = extract_functions(tokenize(source))
-    after = extract_functions(tokenize(fixed_source))
+    """Labelled pairs of one component; ``spellings`` is as in ``tokenize``."""
+    before = extract_functions(tokenize(source, spellings))
+    after = extract_functions(tokenize(fixed_source, spellings))
     pairs, _, _ = pair_functions(before, after)
     return [label_pair(p, path) for p in pairs]
 
@@ -109,10 +113,13 @@ def labeled_functions_from_material(
     material: TrainingMaterial,
 ) -> list[LabeledFunction]:
     labeled: list[LabeledFunction] = []
+    spellings = spelling_table()  # shared by every source of the material
     for comp in material.fix_pairs:
         assert comp.fixed_source is not None
         labeled.extend(
-            labeled_functions_from_component(comp.source, comp.fixed_source, comp.path)
+            labeled_functions_from_component(
+                comp.source, comp.fixed_source, comp.path, spellings
+            )
         )
     return labeled
 

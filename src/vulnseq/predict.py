@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .abstraction import source_sequences
 from .corpus import ComponentRecord, Release
+from .cparse import Spellings, spelling_table
 from .errors import LexError, StructureError
 from .seq2seq import Seq2SeqModel, greedy_reproduces
 
@@ -41,10 +42,12 @@ class ComponentVerdict:
         assert self.predicted_vulnerable == bool(self.modified_sequences)
 
 
-def _component_rows(component: ComponentRecord) -> list[tuple[str, int, tuple[str, ...]]]:
+def _component_rows(
+    component: ComponentRecord, spellings: Spellings | None = None
+) -> list[tuple[str, int, tuple[str, ...]]]:
     """(function, chunk index, tokens) for each chunk; none if unparseable."""
     try:
-        seqs = source_sequences(component.path, component.source)
+        seqs = source_sequences(component.path, component.source, spellings)
     except (LexError, StructureError):
         return []
     return [(s.function_name, s.chunk_index, s.tokens) for s in seqs]
@@ -53,7 +56,10 @@ def _component_rows(component: ComponentRecord) -> list[tuple[str, int, tuple[st
 def _verdicts(
     model: Seq2SeqModel, components: Sequence[ComponentRecord]
 ) -> list[ComponentVerdict]:
-    rows = [_component_rows(c) for c in components]
+    # the components share one spelling table: each distinct spelling is
+    # classified once per call
+    spellings = spelling_table()
+    rows = [_component_rows(c, spellings) for c in components]
     # a verdict depends on the chunk's tokens alone, and chunks repeat a
     # lot, so each distinct chunk is encoded and checked once
     chunks = list(dict.fromkeys(tokens for comp_rows in rows for _, _, tokens in comp_rows))

@@ -313,6 +313,8 @@ def train(
     measured; training stops once it fails to improve, or at max_steps.
     The returned model carries the best-scoring parameters. An empty
     validation list disables early stopping (runs to max_steps).
+    Parameters are copied only at an improving check that another block
+    may follow, since only such a block can be rolled back.
     """
     config.validate()
     if not pairs:
@@ -323,7 +325,7 @@ def train(
     state = state if state is not None else TrainingState()
     shuffle_rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     best_rate = -1.0
-    best_params = model.copy_params()
+    best_params = None
     order: list[int] = []
     pos = 0
     while state.step < config.max_steps:
@@ -335,15 +337,16 @@ def train(
             take = order[pos : pos + config.batch_size]
             pos += len(take)
             train_step([encoded[i] for i in take], model, state)
-        if validation:
-            rate = exact_match_rate(model, validation)
-            state.validation_history.append((state.step, rate))
-            if rate > best_rate:
-                best_rate = rate
-                best_params = model.copy_params()
-            else:
-                break
-        else:
+        if not validation:
+            continue
+        rate = exact_match_rate(model, validation)
+        state.validation_history.append((state.step, rate))
+        if rate <= best_rate:
+            # rates lie in [0, 1], so the first check improves on -1 and
+            # a later one that does not improve has a copy to go back to
+            model.params = best_params
+            break
+        best_rate = rate
+        if state.step < config.max_steps:
             best_params = model.copy_params()
-    model.params = best_params
     return model

@@ -506,9 +506,9 @@ def test_each_component_is_featurised_once_per_run(monkeypatch):
     )
     calls = []
 
-    def counting(component, technique, bins):
+    def counting(component, *args):
         calls.append(component)
-        return extract_features(component, technique, bins)
+        return extract_features(component, *args)
 
     monkeypatch.setattr("vulnseq.baselines.extract_features", counting)
     run_baseline(corpus, Technique.TEXT_MINING, Setting.CLEAN)

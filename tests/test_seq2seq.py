@@ -413,6 +413,49 @@ def test_early_stopping_keeps_best_checkpoint():
     assert state.step <= cfg.max_steps
 
 
+def _param_bytes(model):
+    return {name: array.tobytes() for name, array in model.params.items()}
+
+
+def test_early_stopping_returns_the_best_blocks_parameters():
+    cfg = dataclasses.replace(
+        TINY, max_steps=100, iteration_steps=10, batch_size=1, learning_rate=0.5
+    )
+    state = TrainingState()
+    stopped = train(GRAD_PAIRS, GRAD_PAIRS, cfg, state)
+    steps, rates = zip(*state.validation_history)
+    assert state.step < cfg.max_steps and rates[-1] <= max(rates[:-1])
+    best_step = steps[rates.index(max(rates))]
+    assert best_step < state.step, "no block was rolled back"
+    # a run stopped after its best block ends with the same bytes
+    at_best = train(GRAD_PAIRS, GRAD_PAIRS, dataclasses.replace(cfg, max_steps=best_step))
+    assert _param_bytes(stopped) == _param_bytes(at_best)
+    # and the rollback mattered: the last block had moved the parameters
+    at_stop = train(GRAD_PAIRS, [], dataclasses.replace(cfg, max_steps=state.step))
+    assert _param_bytes(stopped) != _param_bytes(at_stop)
+
+
+def test_training_copies_parameters_only_when_a_rollback_can_follow(monkeypatch):
+    from vulnseq.seq2seq.model import Seq2SeqModel
+
+    copies = []
+    real_copy = Seq2SeqModel.copy_params
+
+    def spy(model):
+        copies.append(model)
+        return real_copy(model)
+
+    monkeypatch.setattr(Seq2SeqModel, "copy_params", spy)
+    blocks = dataclasses.replace(TINY, max_steps=40, iteration_steps=10, batch_size=1)
+    train(GRAD_PAIRS, [], blocks)
+    assert copies == [], "no validation: nothing is ever rolled back"
+    train(GRAD_PAIRS, GRAD_PAIRS, dataclasses.replace(blocks, max_steps=10))
+    assert copies == [], "a single block has nothing to roll back to"
+    state = TrainingState()
+    train(GRAD_PAIRS, GRAD_PAIRS, blocks, state)
+    assert 0 < len(copies) < len(state.validation_history)
+
+
 def test_validation_config_invariants():
     with pytest.raises(ConfigError):
         ModelConfig(max_decode_length=51).validate()
