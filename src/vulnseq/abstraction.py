@@ -9,10 +9,11 @@ sequence. ``function_sequences`` and ``source_sequences`` are the one path
 from a function or a source file to its chunks.
 
 Abstraction builds nothing of its own from a function's tokens: it reads
-the significant texts that ``extract_functions`` sliced and the role walk
-of ``classify_identifier_roles``, whose first-occurrence order is the ID
-numbering order, and resolves each distinct spelling once through the
-``IdMap``'s one spelling-to-ID dict.
+the ``FunctionUnit.texts`` that ``extract_functions`` sliced and the role
+walk of ``classify_identifier_roles``, whose first-occurrence order is the
+ID numbering order, and resolves each distinct spelling once through the
+``IdMap``, which holds only its spelling-to-ID dict and the next number
+per role letter.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ class IdMap:
     ids: dict[str, str] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=lambda: {r: 1 for r in _ROLES})
 
-    def copy(self) -> IdMap:
-        return IdMap(dict(self.ids), dict(self.counters))
-
-    @property
-    def entries(self) -> dict[str, dict[str, str]]:
-        """Role letter → spelling → ID, read from the IDs' letters."""
-        out: dict[str, dict[str, str]] = {r: {} for r in _ROLES}
-        for spelling, rendered in self.ids.items():
-            out[rendered[0]][spelling] = rendered
-        return out
-
     def resolve(self, role_letter: str, spelling: str) -> str:
         got = self.ids.get(spelling)
         if got is None:
@@ -72,9 +62,6 @@ class IdMap:
             self.counters[role_letter] = n + 1
             got = self.ids[spelling] = f"{role_letter}_{n}"
         return got
-
-    def size(self) -> dict[str, int]:
-        return {r: n - 1 for r, n in self.counters.items()}
 
 
 def abstract_function(
@@ -95,8 +82,7 @@ def abstract_function(
     for text, role in classify_identifier_roles(fn).items():
         m = ID_TOKEN_RE.match(text)
         named[text] = idmap.resolve(m.group(1) if m is not None else _ROLE_LETTER[role], text)
-    texts = fn.significant_texts()
-    return list(map(named.get, texts, texts)), idmap
+    return list(map(named.get, fn.texts, fn.texts)), idmap
 
 
 class SeqRole(enum.Enum):
@@ -119,10 +105,6 @@ class AbstractedSequence:
     function_name: str
     chunk_index: int
     role: SeqRole
-
-    def line(self) -> str:
-        """Wire form: space-joined tokens, newline-terminated."""
-        return " ".join(self.tokens) + "\n"
 
 
 def to_sequences(tokens: list[str], meta: SequenceMeta) -> list[AbstractedSequence]:

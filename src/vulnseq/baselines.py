@@ -127,7 +127,7 @@ def static_metric_features(
     cyclomatic = 0
     max_nesting = 0
     for fn in functions:
-        body = fn.body_texts()
+        body = fn.texts[fn.header_length :]
         cyclomatic += 1 + sum(1 for text in body if text in _BRANCH_TOKENS)
         depth = 0
         for text in body:

@@ -171,7 +171,9 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"pairing config key {key} must be a number")
     if "seed" in data and (not isinstance(data["seed"], int) or isinstance(data["seed"], bool)):
         raise ConfigError("config key 'seed' must be an integer")
-    if "profile" in data and data["profile"] not in _PROFILES:
+    if "profile" in data and not (
+        isinstance(data["profile"], str) and data["profile"] in _PROFILES
+    ):
         raise ConfigError(f"unknown profile in config file: {data['profile']!r}")
     return data
 
@@ -265,7 +267,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
 def cmd_dump_tokens(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     lines = [
-        f"{fn.name}\t{' '.join(fn.significant_texts())}\n"
+        f"{fn.name}\t{' '.join(fn.texts)}\n"
         for fn in extract_functions(tokenize(text))
     ]
     _write_output(args.output, "".join(lines))

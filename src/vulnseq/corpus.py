@@ -152,6 +152,17 @@ def _require(record: dict, key: str, line_no: int) -> object:
     return record[key]
 
 
+def _require_str(record: dict, key: str, line_no: int) -> str:
+    value = _require(record, key, line_no)
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a string, got {value!r}", line_no)
+    return value
+
+
+def _strings(values: object) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
 def load_corpus(path: str) -> Corpus:
     """Read and fully validate a JSONL corpus file."""
     header = None
@@ -181,31 +192,35 @@ def load_corpus(path: str) -> Corpus:
                     raise VersionError(
                         f"unsupported corpus format_version {version!r}"
                     )
+                if not isinstance(record.get("project", ""), str):
+                    raise ParseError("project must be a string", line_no)
                 header = record
             elif header is None:
                 raise ParseError("first record must be the format header", line_no)
             elif kind == "release":
-                name = _require(record, "name", line_no)
+                name = _require_str(record, "name", line_no)
                 date = _parse_date(_require(record, "date", line_no), line_no, "date")
-                release_rows.append((str(name), date))
-                comp_rows.setdefault(str(name), [])
+                release_rows.append((name, date))
+                comp_rows.setdefault(name, [])
             elif kind == "component":
-                rel_name = str(_require(record, "release", line_no))
+                rel_name = _require_str(record, "release", line_no)
                 label_raw = _require(record, "label", line_no)
                 try:
                     label = Label(label_raw)
                 except ValueError:
                     raise ParseError(f"unknown label {label_raw!r}", line_no) from None
                 fixed = record.get("fixed_source")
+                if fixed is not None and not isinstance(fixed, str):
+                    raise ParseError("fixed_source must be a string or null", line_no)
                 vuln_ids = record.get("vuln_ids", [])
-                if not isinstance(vuln_ids, list):
-                    raise ParseError("vuln_ids must be a list", line_no)
+                if not _strings(vuln_ids):
+                    raise ParseError("vuln_ids must be a list of strings", line_no)
                 comp = ComponentRecord(
-                    path=str(_require(record, "path", line_no)),
-                    source=str(_require(record, "source", line_no)),
+                    path=_require_str(record, "path", line_no),
+                    source=_require_str(record, "source", line_no),
                     label=label,
-                    fixed_source=None if fixed is None else str(fixed),
-                    vuln_ids=tuple(str(v) for v in vuln_ids),
+                    fixed_source=fixed,
+                    vuln_ids=tuple(vuln_ids),
                 )
                 if rel_name not in comp_rows:
                     raise IntegrityError(
@@ -218,12 +233,12 @@ def load_corpus(path: str) -> Corpus:
                     raise ParseError("affected must be a list of [release, path]", line_no)
                 pairs = []
                 for item in affected:
-                    if not isinstance(item, (list, tuple)) or len(item) != 2:
-                        raise ParseError("affected entry must be [release, path]", line_no)
-                    pairs.append((str(item[0]), str(item[1])))
+                    if not _strings(item) or len(item) != 2:
+                        raise ParseError("affected entry must be [release, path] strings", line_no)
+                    pairs.append(tuple(item))
                 vuln_rows.append(
                     VulnerabilityRecord(
-                        vuln_id=str(_require(record, "id", line_no)),
+                        vuln_id=_require_str(record, "id", line_no),
                         detection_date=_parse_date(
                             _require(record, "detected", line_no), line_no, "detected"
                         ),
@@ -239,7 +254,7 @@ def load_corpus(path: str) -> Corpus:
         for name, date in release_rows
     )
     corpus = Corpus(
-        project_name=str(header.get("project", "unnamed")),
+        project_name=header.get("project", "unnamed"),
         releases=releases,
         vulnerabilities=tuple(vuln_rows),
     )

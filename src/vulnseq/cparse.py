@@ -15,9 +15,10 @@ them all with one ``spelling_table()``, which it drops when it returns,
 so nothing is kept from one call to the next.
 
 Each product is built once, and only for the callers that read it. The
-file pass strips noise once; every ``FunctionUnit`` keeps its slices of
+file pass strips noise once; a ``FunctionUnit`` keeps only its slices of
 the file's significant tokens and their texts, which abstraction, role
-classification, change labelling and ``dump-tokens`` read. The signature
+classification, change labelling, the baselines and ``dump-tokens``
+read, so a function's comments and whitespace are not kept. The signature
 key is built on first read, because only pairing reads it: prediction
 and the baselines never pay for it. ``classify_identifier_roles`` walks
 a function's distinct spellings once, in first-occurrence order, and
@@ -66,40 +67,23 @@ class Token:
 class FunctionUnit:
     """One function definition as ``extract_functions`` found it.
 
-    ``header_tokens`` and ``body_tokens`` keep comments and whitespace.
-    The file pass also hands each unit its slices of the file's
-    significant tokens and their texts, which role classification,
-    abstraction, change labelling and ``dump-tokens`` read. The signature
-    key is built on first read: only pairing reads it.
+    ``tokens`` are its header and body without comments and whitespace,
+    so units that differ only in those compare equal. The texts, the
+    header's length and the name's index follow from ``tokens``, so
+    equality and repr leave them out. The signature key is built on first
+    read: only pairing reads it.
     """
 
     name: str
-    header_tokens: tuple[Token, ...]
-    body_tokens: tuple[Token, ...]
-    # Header and body without noise, their texts, and the header's length
-    # and the name's index among them. All follow from the fields above,
-    # so equality and repr leave them out.
-    _significant: tuple[Token, ...] = field(repr=False, compare=False)
-    _texts: tuple[str, ...] = field(repr=False, compare=False)
-    _header_length: int = field(repr=False, compare=False)
-    _name_index: int = field(repr=False, compare=False)
-
-    def significant_tokens(self) -> tuple[Token, ...]:
-        """Header and body without comments and whitespace."""
-        return self._significant
-
-    def significant_texts(self) -> tuple[str, ...]:
-        """The texts of ``significant_tokens()``."""
-        return self._texts
-
-    def body_texts(self) -> tuple[str, ...]:
-        """The texts of the body's significant tokens, braces included."""
-        return self._texts[self._header_length :]
+    tokens: tuple[Token, ...]
+    texts: tuple[str, ...] = field(repr=False, compare=False)
+    header_length: int = field(repr=False, compare=False)
+    name_index: int = field(repr=False, compare=False)
 
     @cached_property
     def signature_key(self) -> str:
         """Return type, name and parameter types, with parameter names dropped."""
-        return _signature_key(self._significant[: self._header_length], self._name_index)
+        return _signature_key(self.tokens[: self.header_length], self.name_index)
 
 
 # C89/C99 keyword table; identifiers outside this set are classification fodder.
@@ -364,12 +348,10 @@ def extract_functions(tokens: list[Token]) -> list[FunctionUnit]:
             units.append(
                 FunctionUnit(
                     name=text,
-                    header_tokens=tuple(tokens[at[boundary] : at[close] + 1]),
-                    body_tokens=tuple(tokens[at[close + 1] : at[end - 1] + 1]),
-                    _significant=sig[boundary:end],
-                    _texts=texts[boundary:end],
-                    _header_length=close + 1 - boundary,
-                    _name_index=k - boundary,
+                    tokens=sig[boundary:end],
+                    texts=texts[boundary:end],
+                    header_length=close + 1 - boundary,
+                    name_index=k - boundary,
                 )
             )
             k = boundary = end
@@ -390,8 +372,8 @@ def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
     first occurrence's role, except that a later function-name occurrence
     upgrades a variable.
     """
-    sig = fn.significant_tokens()
-    texts = fn.significant_texts()
+    sig = fn.tokens
+    texts = fn.texts
     called = set(compress(texts, map("(".__eq__, texts[1:])))
     # each spelling's first index: zipping in reverse leaves the lowest
     first = dict(zip(reversed(texts), range(len(texts) - 1, -1, -1)))

@@ -1,10 +1,12 @@
 """Function pairing, change labeling, and training-pair materialization.
 
-Before-fix and after-fix functions are matched by signature key. A matched
-pair whose noise-stripped token streams differ is a vulnerable/fixed pair;
-an identical pair is an unchanged (non-vulnerable) function. Training data
-is built from three pair types: vulnerable chunk → fixed chunk, fixed
-chunk → itself, and non-vulnerable chunk → itself (downsampled).
+Before-fix and after-fix functions are matched by signature key into
+plain ``(before, after)`` pairs; a function with no partner is dropped. A
+pair whose ``FunctionUnit.texts`` differ (they hold no comments or
+whitespace) is a vulnerable/fixed pair; an identical pair is an unchanged
+(non-vulnerable) function. Training data is built from three pair types:
+vulnerable chunk → fixed chunk, fixed chunk → itself, and non-vulnerable
+chunk → itself (downsampled).
 
 Only fix-pair components contribute training sequences; components that
 were never vulnerable have no after-version to compare against and are
@@ -25,19 +27,11 @@ from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class FunctionPair:
-    before: FunctionUnit
-    after: FunctionUnit
-    signature_key: str
-
-
-@dataclass(frozen=True)
 class LabeledFunction:
     label: Label
     before: FunctionUnit
     after: FunctionUnit | None  # None iff NonVulnerable
     path: str
-    function_name: str
 
 
 class PairKind(enum.Enum):
@@ -65,35 +59,24 @@ class PairingConfig:
 
 def pair_functions(
     before: list[FunctionUnit], after: list[FunctionUnit]
-) -> tuple[list[FunctionPair], list[FunctionUnit], list[FunctionUnit]]:
-    """Match by signature key; duplicates in file order; extras discarded."""
+) -> list[tuple[FunctionUnit, FunctionUnit]]:
+    """Match by signature key; duplicates pair in file order; the rest are dropped."""
     buckets: dict[str, list[FunctionUnit]] = {}
     for unit in after:
         buckets.setdefault(unit.signature_key, []).append(unit)
-    pairs: list[FunctionPair] = []
-    discarded_before: list[FunctionUnit] = []
-    matched_after: set[int] = set()
+    pairs: list[tuple[FunctionUnit, FunctionUnit]] = []
     for unit in before:
         bucket = buckets.get(unit.signature_key)
         if bucket:
-            partner = bucket.pop(0)
-            matched_after.add(id(partner))
-            pairs.append(FunctionPair(unit, partner, unit.signature_key))
-        else:
-            discarded_before.append(unit)
-    discarded_after = [u for u in after if id(u) not in matched_after]
-    return pairs, discarded_before, discarded_after
+            pairs.append((unit, bucket.pop(0)))
+    return pairs
 
 
-def label_pair(pair: FunctionPair, path: str = "") -> LabeledFunction:
+def label_pair(before: FunctionUnit, after: FunctionUnit, path: str) -> LabeledFunction:
     """Changed (beyond whitespace/comments) means vulnerable."""
-    if pair.before.significant_texts() != pair.after.significant_texts():
-        return LabeledFunction(
-            Label.VULNERABLE, pair.before, pair.after, path, pair.before.name
-        )
-    return LabeledFunction(
-        Label.NON_VULNERABLE, pair.before, None, path, pair.before.name
-    )
+    if before.texts != after.texts:
+        return LabeledFunction(Label.VULNERABLE, before, after, path)
+    return LabeledFunction(Label.NON_VULNERABLE, before, None, path)
 
 
 def labeled_functions_from_component(
@@ -105,8 +88,7 @@ def labeled_functions_from_component(
     """Labelled pairs of one component; ``spellings`` is as in ``tokenize``."""
     before = extract_functions(tokenize(source, spellings))
     after = extract_functions(tokenize(fixed_source, spellings))
-    pairs, _, _ = pair_functions(before, after)
-    return [label_pair(p, path) for p in pairs]
+    return [label_pair(b, a, path) for b, a in pair_functions(before, after)]
 
 
 def labeled_functions_from_material(

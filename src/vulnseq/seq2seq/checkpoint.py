@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import typing
 
@@ -127,8 +128,8 @@ def load_model(path: str) -> Seq2SeqModel:
         name = r.string()
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(r.take(8 * count), dtype="<f8")
+        # exact, so a huge shape reads past the end instead of wrapping
+        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
         params[name] = data.reshape(shape).astype(np.float64)
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after parameters")

@@ -47,7 +47,7 @@ def test_dev_load_matches_published_abstraction():
 def test_minimal_function_only_f1():
     tokens, idmap = _abstract_source("int main(void){return 0;}")
     assert tokens == ["int", "F_1", "(", "void", ")", "{", "return", "0", ";", "}"]
-    assert idmap.size() == {"F": 1, "T": 0, "V": 0, "L": 0}
+    assert idmap.ids == {"main": "F_1"}
 
 
 def test_repeated_entity_reuses_id():
@@ -58,7 +58,7 @@ def test_repeated_entity_reuses_id():
 def test_number_literals_kept_char_literals_abstracted():
     tokens, idmap = _abstract_source("void f(void) { c = 'x'; n = 0x10 + 2.5f; }")
     assert "0x10" in tokens and "2.5f" in tokens
-    assert idmap.entries["L"] == {"'x'": "L_1"}
+    assert idmap.ids == {"f": "F_1", "c": "V_1", "'x'": "L_1", "n": "V_2"}
 
 
 def test_string_literal_identity():
@@ -80,21 +80,17 @@ def test_shared_map_adds_only_new_entities():
     before = "void f(int a) { a = a + 1; }"
     after = "void f(int a) { int tmp; tmp = a + 1; a = tmp; }"
     _, map_b = _abstract_source(before)
-    snapshot = map_b.copy()
+    snapshot = dict(map_b.ids)
     tokens_a, map_a = _abstract_source(after, shared=map_b)
-    assert map_a.entries["F"] == snapshot.entries["F"]
-    assert map_a.entries["T"] == snapshot.entries["T"]
-    new_vars = set(map_a.entries["V"]) - set(snapshot.entries["V"])
-    assert new_vars == {"tmp"}
-    assert map_a.entries["V"]["tmp"] == "V_2"
+    assert map_a.ids == snapshot | {"tmp": "V_2"}
     assert "V_2" in tokens_a
 
 
 def test_shared_map_preserves_diff_locality(igmp_pair):
     vuln_fn = extract_functions(tokenize(igmp_pair[0]))[0]
     fixed_fn = extract_functions(tokenize(igmp_pair[1]))[0]
-    src_b = [t.text for t in vuln_fn.significant_tokens()]
-    src_a = [t.text for t in fixed_fn.significant_tokens()]
+    src_b = list(vuln_fn.texts)
+    src_a = list(fixed_fn.texts)
     abs_b, idmap = abstract_function(vuln_fn)
     abs_a, _ = abstract_function(fixed_fn, shared=idmap)
 
@@ -109,7 +105,7 @@ def test_shared_map_preserves_diff_locality(igmp_pair):
     s_src = prefix(src_b[p_src:][::-1], src_a[p_src:][::-1])
     s_abs = prefix(abs_b[p_abs:][::-1], abs_a[p_abs:][::-1])
     assert (p_src, s_src) == (p_abs, s_abs)
-    v_md = idmap.entries["V"]["max_delay"]
+    v_md = idmap.ids["max_delay"]
     inserted = abs_a[p_abs : len(abs_a) - s_abs]
     assert inserted == ["if", "(", "!", v_md, ")", v_md, "=", "1", ";"]
 
@@ -164,7 +160,3 @@ def test_chunk_empty_raises():
     with pytest.raises(EmptyFunction):
         to_sequences([], META)
 
-
-def test_sequence_line_form():
-    seqs = to_sequences(["int", "F_1", "(", ")", ";"], META)
-    assert seqs[0].line() == "int F_1 ( ) ;\n"

@@ -179,6 +179,16 @@ def test_bad_config_file_is_a_usage_error(corpus_file, tmp_path, capsys):
     assert code == 1
     assert "non_vuln_ratio must be a number" in capsys.readouterr().err
 
+    # an unhashable profile is reported, not a failed membership test
+    for profile in ([], {}):
+        cfg.write_text(json.dumps({"profile": profile}))
+        for command in ("train", "evaluate"):
+            argv = [command, "-i", str(corpus_file), "--config", str(cfg), "-o", str(tmp_path / "x")]
+            if command == "train":
+                argv += ["--release", "0"]
+            assert main(argv) == 1
+            assert "unknown profile in config file" in capsys.readouterr().err
+
 
 def test_missing_input_file_exits_one(capsys):
     assert main(["pair", "-i", "no-such-file.jsonl", "--release", "0", "-o", "out"]) == 1
@@ -387,6 +397,21 @@ def test_checkpoint_with_a_bad_config_exits_one(edit, message, corpus_file, tmp_
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_checkpoint_shape_too_large_to_count_exits_one(corpus_file, tmp_path, capsys):
+    # (2**32 - 1)**2 elements wrap a 64-bit count to a negative length
+    body = DESK_CKPT.read_bytes()[:-32]
+    name = struct.pack("<I", 9) + b"embedding"
+    at = body.index(name) + len(name)  # the tensor's ndim, then its shape
+    (ndim,) = struct.unpack_from("<I", body, at)
+    body = body[:at] + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + body[at + 4 + 4 * ndim :]
+    ckpt, out = tmp_path / "huge.ckpt", tmp_path / "verdicts.jsonl"
+    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    argv = ["predict", "-m", str(ckpt), "-i", str(corpus_file), "--release", "2", "-o", str(out)]
+    assert main(argv) == 1
+    assert "error: unexpected end of checkpoint" in capsys.readouterr().err
     assert not out.exists()
 
 

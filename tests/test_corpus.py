@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from vulnseq.cli import main
 from vulnseq.corpus import (
     ComponentRecord,
     Corpus,
@@ -87,6 +88,34 @@ def test_load_vulnerable_without_fix(tmp_path):
 def test_load_rejects_malformed(tmp_path, mangle, exc):
     with pytest.raises(exc):
         load_corpus(_write(tmp_path, mangle(MINIMAL)))
+
+
+@pytest.mark.parametrize(
+    "line, old, new",
+    [
+        (1, '"project":"demo"', '"project":null'),
+        (2, '"name":"r0"', '"name":0'),
+        (3, '"release":"r0"', '"release":["r0"]'),
+        (3, '"path":"a.c"', '"path":{"a":"c"}'),
+        (4, '"source":"int g(void) { return 0; }"', '"source":null'),
+        (4, '"source":"int g(void) { return 0; }"', '"source":7'),
+        (3, '"fixed_source":"int f(void) { if (!y) y = 1; return x / y; }"', '"fixed_source":1'),
+        (3, '"vuln_ids":["CVE-1"]', '"vuln_ids":[1]'),
+        (7, '"id":"CVE-1"', '"id":1'),
+        (7, '[["r0","a.c"]]', '[["r0",null]]'),
+        (7, '[["r0","a.c"]]', '[[0,"a.c"]]'),
+    ],
+    ids=["project", "release-name", "component-release", "path", "null-source", "number-source",
+         "fixed-source", "vuln-ids-item", "vuln-id", "affected-path", "affected-release"],
+)
+def test_non_string_fields_are_parse_errors(tmp_path, line, old, new):
+    # str() would turn them into text, e.g. a null source into the C "None"
+    path = _write(tmp_path, MINIMAL.replace(old, new, 1))
+    with pytest.raises(ParseError) as err:
+        load_corpus(path)
+    assert err.value.line == line
+    assert main(["ingest", "-i", path, "-o", str(tmp_path / "out.jsonl")]) == 1
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -174,8 +174,15 @@ def test_blank_line_ends_a_continued_directive():
 def test_extract_body_brackets():
     units = extract_functions(tokenize("int f(void) { if (1) { g(); } return 0; }"))
     assert len(units) == 1
-    body = units[0].body_tokens
-    assert body[0].text == "{" and body[-1].text == "}"
+    body = units[0].texts[units[0].header_length :]
+    assert body[0] == "{" and body[-1] == "}"
+
+
+def test_units_that_differ_only_in_noise_compare_equal():
+    plain = extract_functions(tokenize("int f(int a) { return a; }"))
+    noisy = extract_functions(tokenize("int /* n */ f(int a)\n{\n\treturn a; // x\n}\n"))
+    assert plain == noisy and hash(plain[0]) == hash(noisy[0])
+    assert plain != extract_functions(tokenize("int f(int a) { return a + 1; }"))
 
 
 def test_extract_generated_files_ground_truth():
@@ -272,6 +279,5 @@ def test_classify_never_touches_keywords():
     for src in (IGMP_VULN, DEV_LOAD):
         for fn in extract_functions(tokenize(src)):
             roles = classify_identifier_roles(fn)
-            sig = fn.significant_tokens()
-            keyword_texts = {t.text for t in sig if t.kind is TokenKind.KEYWORD}
+            keyword_texts = {t.text for t in fn.tokens if t.kind is TokenKind.KEYWORD}
             assert keyword_texts.isdisjoint(roles)

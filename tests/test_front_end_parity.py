@@ -7,7 +7,9 @@ opener), ``cparse.classify_identifier_roles`` and
 the private helpers they called. The old extractor finds a function's name
 in its header by object identity, which tokens shared per spelling would
 defeat, so it is fed an unshared copy of each token stream; it returns
-``ReferenceUnit`` records, the fields of the former ``FunctionUnit``. Its
+``ReferenceUnit`` records, the fields of the former ``FunctionUnit``, whose
+header and body with comments and whitespace stripped must equal the
+header and body slices of ``FunctionUnit.tokens``. Its
 ``_directive_end`` carries one fix: a backslash splices only the first
 newline after it. The old classifier gives identifier roles only; the
 LITERAL entries the classifier now adds are checked on their own.
@@ -124,8 +126,9 @@ class ReferenceUnit:
     header_tokens: tuple[Token, ...]
     body_tokens: tuple[Token, ...]
 
-    def significant_tokens(self) -> tuple[Token, ...]:
-        return tuple(strip_noise(self.header_tokens + self.body_tokens))
+    def split(self) -> tuple[tuple[Token, ...], tuple[Token, ...]]:
+        """Header and body without comments and whitespace."""
+        return tuple(strip_noise(self.header_tokens)), tuple(strip_noise(self.body_tokens))
 
 
 def reference_extract_functions(tokens: list[Token]) -> list[ReferenceUnit]:
@@ -228,7 +231,7 @@ def reference_classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
     first occurrence's role, except that a later function-name occurrence
     upgrades a variable.
     """
-    sig = fn.significant_tokens()
+    sig = fn.tokens
     first: dict[str, Role] = {}
     called: set[str] = set()
     for idx, tok in enumerate(sig):
@@ -277,7 +280,7 @@ def reference_abstract_function(
     idmap = shared if shared is not None else IdMap()
     roles = reference_classify_identifier_roles(fn)
     out: list[str] = []
-    for tok in fn.significant_tokens():
+    for tok in fn.tokens:
         if tok.kind is TokenKind.IDENTIFIER:
             m = ID_TOKEN_RE.match(tok.text)
             letter = m.group(1) if m is not None else roles[tok.text].value
@@ -293,17 +296,15 @@ def _unshared(tokens: list[Token]) -> list[Token]:
     return [Token(t.text, t.kind) for t in tokens]
 
 
-def _units(extract, tokens):
-    """Each extracted function's fields, or the StructureError's message.
+def _split(unit: FunctionUnit) -> tuple[tuple[Token, ...], tuple[Token, ...]]:
+    return unit.tokens[: unit.header_length], unit.tokens[unit.header_length :]
 
-    The signature key and the significant tokens are read explicitly:
-    ``FunctionUnit`` builds them outside its compared fields.
-    """
+
+def _units(extract, split, tokens):
+    """Each extracted function's name, signature key, and header and body
+    without noise, or the StructureError's message."""
     try:
-        return [
-            (u.name, u.signature_key, u.header_tokens, u.body_tokens, u.significant_tokens())
-            for u in extract(tokens)
-        ]
+        return [(u.name, u.signature_key, *split(u)) for u in extract(tokens)]
     except StructureError as exc:
         return ("StructureError", str(exc))
 
@@ -311,8 +312,8 @@ def _units(extract, tokens):
 def _assert_roles_parity(fn: FunctionUnit) -> None:
     """Identifier roles as the oracle's; literals LITERAL; first-occurrence order."""
     roles = classify_identifier_roles(fn)
-    sig = fn.significant_tokens()
-    assert fn.significant_texts() == tuple(t.text for t in sig)
+    sig = fn.tokens
+    assert fn.texts == tuple(t.text for t in sig)
     identifiers = {t: r for t, r in roles.items() if r is not Role.LITERAL}
     assert identifiers == reference_classify_identifier_roles(fn)
     literals = [t.text for t in sig if t.kind in (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL)]
@@ -325,13 +326,13 @@ def _assert_parity(source: str) -> None:
         tokens = tokenize(source)
     except LexError:
         return  # tests/test_lexer_parity.py covers the lexer's errors
-    units = _units(extract_functions, tokens)
-    assert units == _units(reference_extract_functions, _unshared(tokens)), source
+    units = _units(extract_functions, _split, tokens)
+    reference = _units(reference_extract_functions, ReferenceUnit.split, _unshared(tokens))
+    assert units == reference, source
     if isinstance(units, tuple):
         return
     for fn in extract_functions(tokens):
-        body = strip_noise(list(fn.body_tokens))
-        assert fn.body_texts() == tuple(t.text for t in body), source
+        assert fn.tokens[fn.name_index].text == fn.name, source
         _assert_roles_parity(fn)
         assert abstract_function(fn) == reference_abstract_function(fn), source
 
@@ -378,8 +379,8 @@ def test_parity_of_fix_pairs_on_a_shared_map(params, body, fixed_body):
         after = extract_functions(tokenize(f"int f ( {params} ) {{ {fixed_body} }}"))
     except (LexError, StructureError):
         return
-    for pair in pair_functions(before, after)[0]:
-        _assert_shared_map_parity(pair.before, pair.after)
+    for b, a in pair_functions(before, after):
+        _assert_shared_map_parity(b, a)
 
 
 def test_parity_on_named_cases():
@@ -432,11 +433,11 @@ def test_parity_of_synthetic_fix_pairs_on_a_shared_map():
             continue
         before = extract_functions(tokenize(comp.source))
         after = extract_functions(tokenize(comp.fixed_source))
-        for pair in pair_functions(before, after)[0]:
-            _assert_shared_map_parity(pair.before, pair.after)
+        for b, a in pair_functions(before, after):
+            _assert_shared_map_parity(b, a)
             pairs += 1
     assert pairs > 500
     before = extract_functions(tokenize(IGMP_VULN))
     after = extract_functions(tokenize(IGMP_FIXED))
-    for pair in pair_functions(before, after)[0]:
-        _assert_shared_map_parity(pair.before, pair.after)
+    for b, a in pair_functions(before, after):
+        _assert_shared_map_parity(b, a)

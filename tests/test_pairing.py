@@ -26,59 +26,54 @@ def _labeled(src: str, fixed: str, path: str = "a.c") -> list[LabeledFunction]:
     return labeled_functions_from_component(src, fixed, path)
 
 
+def _names(pairs) -> list[tuple[str, str]]:
+    return [(b.name, a.name) for b, a in pairs]
+
+
 # ---------------------------------------------------------------- matching
 
 
 def test_igmp_pair_matches_both_functions():
     before = _units(IGMP_VULN)
     after = _units(IGMP_FIXED)
-    pairs, disc_b, disc_a = pair_functions(before, after)
-    assert len(pairs) == 2
-    assert disc_b == [] and disc_a == []
-    names = {p.before.name for p in pairs}
-    assert names == {"igmp_start_timer", "igmp_heard_query"}
-    for p in pairs:
-        assert p.before.name == p.after.name
-        assert p.signature_key == p.before.signature_key
+    pairs = pair_functions(before, after)
+    assert _names(pairs) == [
+        ("igmp_heard_query", "igmp_heard_query"),
+        ("igmp_start_timer", "igmp_start_timer"),
+    ]
+    for b, a in pairs:
+        assert b.signature_key == a.signature_key
 
 
-def test_new_helper_lands_in_discarded_after():
+def test_new_helper_is_left_unpaired():
     before = _units("int f(int a) { return a; }\n")
     after = _units(
         "static void helper(void) { }\nint f(int a) { helper(); return a; }\n"
     )
-    pairs, disc_b, disc_a = pair_functions(before, after)
-    assert len(pairs) == 1 and disc_b == []
-    assert [u.name for u in disc_a] == ["helper"]
+    assert _names(pair_functions(before, after)) == [("f", "f")]
 
 
-def test_removed_function_lands_in_discarded_before():
+def test_removed_function_is_left_unpaired():
     before = _units("int f(void) { return 0; }\nint g(void) { return 1; }\n")
     after = _units("int f(void) { return 0; }\n")
-    pairs, disc_b, disc_a = pair_functions(before, after)
-    assert len(pairs) == 1
-    assert [u.name for u in disc_b] == ["g"]
-    assert disc_a == []
+    assert _names(pair_functions(before, after)) == [("f", "f")]
 
 
 def test_changed_parameter_type_breaks_the_match():
     before = _units("int f(int a) { return a; }\n")
     after = _units("int f(long a) { return a; }\n")
-    pairs, disc_b, disc_a = pair_functions(before, after)
-    assert pairs == []
-    assert len(disc_b) == 1 and len(disc_a) == 1
+    assert pair_functions(before, after) == []
 
 
 def test_duplicate_keys_match_in_file_order():
     src = "int f(int a) { return 1; }\nint f(int a) { return 2; }\n"
     before = _units(src)
     after = _units(src)
-    pairs, disc_b, disc_a = pair_functions(before, after)
-    assert len(pairs) == 2 and disc_b == [] and disc_a == []
-    for p in pairs:
-        b = [t.text for t in p.before.significant_tokens()]
-        a = [t.text for t in p.after.significant_tokens()]
-        assert b == a
+    pairs = pair_functions(before, after)
+    assert len(pairs) == 2
+    for b, a in pairs:
+        assert b.texts == a.texts
+    assert pairs[0][0].texts != pairs[1][0].texts
 
 
 def test_permutation_invariance_of_matching(rng_seed=417):
@@ -89,21 +84,17 @@ def test_permutation_invariance_of_matching(rng_seed=417):
         shuffled = list(range(8))
         rng.shuffle(shuffled)
         after = _units("".join(srcs[i] for i in shuffled))
-        pairs, disc_b, disc_a = pair_functions(before, after)
-        assert disc_b == [] and disc_a == []
-        assert {(p.before.name, p.after.name) for p in pairs} == {
-            (f"f_{i}", f"f_{i}") for i in range(8)
-        }
+        # pairs follow the before file's order, whatever the after order
+        assert _names(pair_functions(before, after)) == [(f"f_{i}", f"f_{i}") for i in range(8)]
 
 
 def test_no_function_appears_in_two_pairs():
     src = "int f(int a) { return 1; }\nint f(int a) { return 2; }\n"
     before = _units(src)
     after = _units("int f(int a) { return 9; }\n")
-    pairs, disc_b, disc_a = pair_functions(before, after)
-    assert len(pairs) == 1 and len(disc_b) == 1 and disc_a == []
-    seen = [id(p.before) for p in pairs] + [id(p.after) for p in pairs]
-    assert len(seen) == len(set(seen))
+    pairs = pair_functions(before, after)
+    assert len(pairs) == 1
+    assert pairs[0][0] is before[0] and pairs[0][1] is after[0]
 
 
 # ---------------------------------------------------------------- labeling
@@ -117,7 +108,7 @@ def test_real_change_is_vulnerable():
     assert len(lfs) == 1
     assert lfs[0].label is Label.VULNERABLE
     assert lfs[0].after is not None
-    assert lfs[0].function_name == "f"
+    assert lfs[0].before.name == "f"
     assert lfs[0].path == "a.c"
 
 
@@ -134,15 +125,15 @@ def test_comment_and_whitespace_change_is_non_vulnerable():
 def test_label_swap_symmetry():
     before = _units("int f(int a) { return a; }\n")
     after = _units("int f(int a) { return a + 1; }\n")
-    fwd, _, _ = pair_functions(before, after)
-    rev, _, _ = pair_functions(after, before)
-    assert label_pair(fwd[0]).label is Label.VULNERABLE
-    assert label_pair(rev[0]).label is Label.VULNERABLE
+    (fwd,) = pair_functions(before, after)
+    (rev,) = pair_functions(after, before)
+    assert label_pair(*fwd, "a.c").label is Label.VULNERABLE
+    assert label_pair(*rev, "a.c").label is Label.VULNERABLE
 
 
 def test_igmp_component_labels():
     lfs = labeled_functions_from_component(IGMP_VULN, IGMP_FIXED, "net/ipv4/igmp.c")
-    by_name = {lf.function_name: lf.label for lf in lfs}
+    by_name = {lf.before.name: lf.label for lf in lfs}
     assert by_name == {
         "igmp_start_timer": Label.NON_VULNERABLE,
         "igmp_heard_query": Label.VULNERABLE,
@@ -162,7 +153,7 @@ def _vuln_lf(i: int) -> LabeledFunction:
 
 def _nonvuln_lf(i: int) -> LabeledFunction:
     fn = _units(f"int f_{i}(void) {{ return {i}; }}\n")[0]
-    return LabeledFunction(Label.NON_VULNERABLE, fn, None, f"src/n_{i}.c", fn.name)
+    return LabeledFunction(Label.NON_VULNERABLE, fn, None, f"src/n_{i}.c")
 
 
 def test_single_vulnerable_function_yields_one_of_each():

@@ -182,5 +182,5 @@ def test_prediction_and_call_features_build_no_signature_key(monkeypatch):
     assert call_features(component).values == {}
     assert built == []
     units = extract_functions(tokenize(VULN_SOURCE))
-    assert len(pair_functions(units, units)[0]) == 2
+    assert len(pair_functions(units, units)) == 2
     assert len(built) == 2
