@@ -280,16 +280,6 @@ def train_classifiers(
     return outcomes
 
 
-def train_classifier(
-    features: list[tuple[FeatureVector, bool]], cfg: ClassifierConfig
-) -> LinearClassifier:
-    """``train_classifiers`` on one training set; raises its error."""
-    (outcome,) = train_classifiers([features], cfg)
-    if isinstance(outcome, VulnseqError):
-        raise outcome
-    return outcome
-
-
 @dataclass(frozen=True)
 class BaselinePrediction:
     path: str

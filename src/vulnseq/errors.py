@@ -48,11 +48,11 @@ class EmptyCorpus(VulnseqError):
 
 
 class NumericalError(VulnseqError):
-    """Non-finite loss during training; carries the step number."""
+    """Non-finite values in a fit or in the identity check; the message
+    names the training step, when there is one."""
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
-        self.step = step
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message if step is None else f"{message} (step {step})")
 
 
 class VersionError(VulnseqError):

@@ -50,9 +50,6 @@ class ConfusionMatrix:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ConfigError("confusion counts must be non-negative")
 
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class Metrics:

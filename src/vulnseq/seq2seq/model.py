@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, NumericalError, ShapeError
 from .vocab import EOS, SOS, Vocabulary
 
 
@@ -410,6 +410,11 @@ def greedy_reproduces(
     A verdict depends on its row's ids alone, so each distinct
     ``(input, target)`` runs once, and every row holding it shares its
     verdict.
+
+    Raises NumericalError when the check's arithmetic overflows or turns
+    invalid. The floating-point flags tell, not the logits: tanh saturates
+    an overflowed gate input to a finite value, so overflowing weights can
+    still give finite logits, and so verdicts.
     """
     if len(inputs) != len(targets):
         raise ShapeError("inputs and targets differ in length")
@@ -435,13 +440,17 @@ def greedy_reproduces(
     # a row packs its input and min(len(target) + 1, cap) decoder steps
     tokens = np.cumsum([len(keys[j][0]) + min(len(keys[j][1]) + 1, cap) for j in todo])
     blocks = tokens * model.config.hidden_units // CHECK_BLOCK_TOKEN_UNITS
-    for _, group in groupby(zip(blocks.tolist(), todo), key=itemgetter(0)):
-        block = [j for _, j in group]
-        found = _reproduces_block(
-            model, [keys[j][0] for j in block], [keys[j][1] for j in block]
-        )
-        for j, hit in zip(block, found):
-            hits[j] = hit
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _, group in groupby(zip(blocks.tolist(), todo), key=itemgetter(0)):
+                block = [j for _, j in group]
+                found = _reproduces_block(
+                    model, [keys[j][0] for j in block], [keys[j][1] for j in block]
+                )
+                for j, hit in zip(block, found):
+                    hits[j] = hit
+    except FloatingPointError as exc:
+        raise NumericalError(f"the identity check went non-finite: {exc}") from None
     return [hits[j] for j in slots]
 
 

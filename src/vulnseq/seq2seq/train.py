@@ -257,17 +257,19 @@ def _global_norm(grads: dict[str, np.ndarray]) -> float:
 def train_step(
     batch: list[TrainingPair], model: Seq2SeqModel, state: TrainingState
 ) -> float:
-    loss, grads = compute_loss_and_grads(model, batch)
-    norm = _global_norm(grads)
-    if not (np.isfinite(loss) and np.isfinite(norm)):
-        raise NumericalError("non-finite loss or gradient", step=state.step)
-    if norm > model.config.clip_norm:
-        scale = model.config.clip_norm / norm
-        for g in grads.values():
-            g *= scale
-    lr = model.config.learning_rate
-    for name, g in grads.items():
-        model.params[name] -= lr * g
+    # a diverging step overflows: the check below says so, stderr does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = compute_loss_and_grads(model, batch)
+        norm = _global_norm(grads)
+        if not (np.isfinite(loss) and np.isfinite(norm)):
+            raise NumericalError("non-finite loss or gradient", step=state.step)
+        if norm > model.config.clip_norm:
+            scale = model.config.clip_norm / norm
+            for g in grads.values():
+                g *= scale
+        lr = model.config.learning_rate
+        for name, g in grads.items():
+            model.params[name] -= lr * g
     state.step += 1
     return loss
 

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnseq.abstraction import (
     CHUNK_LIMIT,
@@ -160,3 +162,107 @@ def test_chunk_empty_raises():
     with pytest.raises(EmptyFunction):
         to_sequences([], META)
 
+
+
+# --- properties on generated C-like functions -----------------------------
+
+# A generated function is a template: fixed text, ("name", i) for the i-th
+# user identifier and ("lit", i) for the i-th string or char literal, so
+# one template renders under any consistent renaming.
+N_NAMES = 8
+N_LITERALS = 4
+
+_names = st.lists(
+    st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(lambda s: s not in KEYWORDS),
+    min_size=N_NAMES,
+    max_size=N_NAMES,
+    unique=True,
+)
+# literals 0 and 1 are strings, 2 and 3 chars
+_literals = st.tuples(
+    st.lists(st.text("abz 09(){};_", max_size=4), min_size=2, max_size=2, unique=True),
+    st.lists(st.sampled_from("abcxyz0(;{"), min_size=2, max_size=2, unique=True),
+).map(lambda sc: [f'"{s}"' for s in sc[0]] + [f"'{c}'" for c in sc[1]])
+
+_name = st.integers(0, N_NAMES - 1).map(lambda i: [("name", i)])
+_literal = st.integers(0, N_LITERALS - 1).map(lambda i: [("lit", i)])
+_number = st.sampled_from(["0", "1", "42", "0x1f", "2.5"]).map(lambda n: [n])
+_type = st.one_of(
+    st.sampled_from(["int", "char", "long", "unsigned"]).map(lambda t: [t]),
+    _name.map(lambda n: ["struct", *n, "*"]),
+    _name,
+)
+
+
+def _expressions():
+    atoms = st.one_of(_name, _number, _literal)
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "==", "<", "&&"]), inner).map(
+                lambda t: [*t[0], t[1], *t[2]]
+            ),
+            st.tuples(_name, st.lists(inner, max_size=3)).map(
+                lambda t: [*t[0], "(", *_joined(t[1], ","), ")"]
+            ),
+            st.tuples(_name, _name).map(lambda t: [*t[0], "->", *t[1]]),
+            st.tuples(_name, inner).map(lambda t: [*t[0], "[", *t[1], "]"]),
+        ),
+        max_leaves=6,
+    )
+
+
+def _joined(parts, sep):
+    out = []
+    for k, part in enumerate(parts):
+        out += ([sep] if k else []) + part
+    return out
+
+
+def _statements():
+    expr = _expressions()
+    simple = st.one_of(
+        st.tuples(_type, _name, expr).map(lambda t: [*t[0], *t[1], "=", *t[2], ";"]),
+        st.tuples(_type, _name).map(lambda t: [*t[0], *t[1], ";"]),
+        st.tuples(_name, expr).map(lambda t: [*t[0], "=", *t[1], ";"]),
+        expr.map(lambda e: [*e, ";"]),
+        expr.map(lambda e: ["return", *e, ";"]),
+    )
+    return st.recursive(
+        simple.map(lambda s: [s]),
+        lambda inner: st.tuples(expr, inner).map(
+            lambda t: [["if", "(", *t[0], ")", "{", *sum(t[1], []), "}"]]
+        )
+        | st.lists(inner, min_size=1, max_size=4).map(lambda ss: sum(ss, [])),
+        max_leaves=8,
+    )
+
+
+c_functions = st.tuples(
+    _type,
+    _name,
+    st.lists(st.tuples(_type, _name).map(lambda t: [*t[0], *t[1]]), max_size=3),
+    _statements(),
+).map(lambda t: [*t[0], *t[1], "(", *_joined(t[2], ","), ")", "{", *sum(t[3], []), "}"])
+
+
+def _render(template, names, literals) -> str:
+    table = {"name": names, "lit": literals}
+    return " ".join(
+        piece if isinstance(piece, str) else table[piece[0]][piece[1]] for piece in template
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_functions, _names, _literals)
+def test_abstraction_is_idempotent_on_generated_functions(template, names, literals):
+    tokens, _ = _abstract_source(_render(template, names, literals))
+    again, _ = _abstract_source(" ".join(tokens))
+    assert again == tokens
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_functions, _names, _names, _literals, _literals)
+def test_abstraction_ignores_a_consistent_renaming(template, names, renamed, literals, relit):
+    tokens, _ = _abstract_source(_render(template, names, literals))
+    assert _abstract_source(_render(template, renamed, relit))[0] == tokens

@@ -23,7 +23,6 @@ from vulnseq.baselines import (
     run_baseline,
     static_metric_features,
     token_frequencies,
-    train_classifier,
     train_classifiers,
 )
 from vulnseq.corpus import (
@@ -173,12 +172,12 @@ def _toy_features(n_per_class=6):
 
 def test_classifier_separates_a_separable_toy_problem():
     rows = _toy_features()
-    model = train_classifier(rows, ClassifierConfig())
+    (model,) = train_classifiers([rows], ClassifierConfig())
     assert all(model.predict(fv) == label for fv, label in rows)
 
 
 def test_zero_iterations_yield_neutral_classifier():
-    model = train_classifier(_toy_features(), ClassifierConfig(iterations=0))
+    (model,) = train_classifiers([_toy_features()], ClassifierConfig(iterations=0))
     fv = FeatureVector("q.c", {"sig": 1.0})
     assert model.score(fv) == 0.5
     assert model.predict(fv) is False  # strictly-greater threshold
@@ -192,15 +191,15 @@ def test_threshold_comparison_is_strict():
 
 def test_duplicating_the_dataset_preserves_the_model():
     rows = _toy_features()
-    a = train_classifier(rows, ClassifierConfig(iterations=50))
-    b = train_classifier(rows + rows, ClassifierConfig(iterations=50))
+    (a,) = train_classifiers([rows], ClassifierConfig(iterations=50))
+    (b,) = train_classifiers([rows + rows], ClassifierConfig(iterations=50))
     assert a.bias == pytest.approx(b.bias, rel=1e-9, abs=1e-12)
     for name in a.weights:
         assert a.weights[name] == pytest.approx(b.weights[name], rel=1e-9, abs=1e-12)
 
 
 def test_unknown_features_at_prediction_time_are_ignored():
-    model = train_classifier(_toy_features(), ClassifierConfig())
+    (model,) = train_classifiers([_toy_features()], ClassifierConfig())
     with_unknown = FeatureVector("u.c", {"sig": 1.0, "never_seen": 4.0})
     without = FeatureVector("u.c", {"sig": 1.0})
     assert model.score(with_unknown) == model.score(without)
@@ -208,10 +207,10 @@ def test_unknown_features_at_prediction_time_are_ignored():
 
 def test_single_class_training_is_rejected():
     rows = [(FeatureVector("a.c", {"f": 1.0}), True), (FeatureVector("b.c", {"f": 0.0}), True)]
-    with pytest.raises(DegenerateLabels):
-        train_classifier(rows, ClassifierConfig())
-    with pytest.raises(DegenerateLabels):
-        train_classifier([], ClassifierConfig())
+    (outcome,) = train_classifiers([rows], ClassifierConfig())
+    assert isinstance(outcome, DegenerateLabels)
+    (outcome,) = train_classifiers([[]], ClassifierConfig())
+    assert isinstance(outcome, DegenerateLabels)
 
 
 BAD_CLASSIFIER_CONFIGS = [
@@ -229,7 +228,7 @@ BAD_CLASSIFIER_CONFIGS = [
 def test_classifier_config_validation():
     for cfg in BAD_CLASSIFIER_CONFIGS:
         with pytest.raises(ConfigError):
-            train_classifier(_toy_features(), cfg)
+            train_classifiers([_toy_features()], cfg)
 
 
 def test_threshold_bounds_are_inclusive():
@@ -241,7 +240,7 @@ def test_threshold_bounds_are_inclusive():
 
 
 def _reference_train_classifier(features, cfg):
-    """The pure-Python loop train_classifier replaced, kept as the oracle."""
+    """The pure-Python loop the numpy fit replaced, kept as the oracle."""
     names = sorted({name for fv, _ in features for name in fv.values})
     n, d = len(features), len(names)
     index = {name: j for j, name in enumerate(names)}
@@ -288,7 +287,7 @@ def _reference_train_classifier(features, cfg):
 
 
 def _where_loop_train_classifier(features, cfg):
-    """train_classifier as it was before the sigmoid shared its divisor.
+    """The numpy one-set fit as it was before the sigmoid shared its divisor.
 
     Kept as the oracle for exact equality: both sigmoids divide the same
     numerator by the same 1 + exp(-|z|).
@@ -323,7 +322,7 @@ def _where_loop_train_classifier(features, cfg):
 
 
 def _assert_same_classifier(rows, cfg):
-    got = train_classifier(rows, cfg)
+    (got,) = train_classifiers([rows], cfg)
     assert got == _where_loop_train_classifier(rows, cfg)
     want = _reference_train_classifier(rows, cfg)
     assert got.bias == pytest.approx(want.bias, rel=1e-9, abs=1e-12)
@@ -392,7 +391,7 @@ def test_lockstep_fits_equal_one_set_fits_bit_for_bit(cfg):
     fitted = train_classifiers(sets, cfg)
     assert len(fitted) == len(sets)
     for rows, model in zip(sets, fitted):
-        assert model == train_classifier(rows, cfg)
+        assert [model] == train_classifiers([rows], cfg)
         assert model == _where_loop_train_classifier(rows, cfg)
     assert train_classifiers(sets[::-1], cfg) == fitted[::-1]
 
@@ -406,8 +405,8 @@ def test_a_degenerate_set_fails_only_itself():
     assert str(fitted[1]) == "training components carry a single label"
     assert isinstance(fitted[2], DegenerateLabels)
     assert str(fitted[2]) == "no training components"
-    assert fitted[0] == train_classifier(valid[0], cfg)
-    assert fitted[3] == train_classifier(valid[1], cfg)
+    assert [fitted[0]] == train_classifiers([valid[0]], cfg)
+    assert [fitted[3]] == train_classifiers([valid[1]], cfg)
 
 
 def _label_blind_set():
@@ -429,10 +428,10 @@ def test_a_diverging_set_fails_only_itself_and_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fitted = train_classifiers([blind, _toy_features(), blind], cfg)
-        with pytest.raises(NumericalError):
-            train_classifier(_toy_features(), cfg)
+        (alone,) = train_classifiers([_toy_features()], cfg)
     assert isinstance(fitted[1], NumericalError)
-    assert fitted[0] == fitted[2] == train_classifier(blind, cfg)
+    assert isinstance(alone, NumericalError)
+    assert [fitted[0]] == [fitted[2]] == train_classifiers([blind], cfg)
     assert fitted[0].weights == {"f": 0.0}
     assert fitted[0].bias == 0.0
 
@@ -441,8 +440,9 @@ def test_a_diverging_set_fails_only_itself_and_warns_nothing():
     "cfg", [ClassifierConfig(learning_rate=1e300), ClassifierConfig(l2=1e300)]
 )
 def test_non_finite_weights_raise(cfg):
-    with pytest.raises(NumericalError, match="non-finite"):
-        train_classifier(_toy_features(), cfg)
+    (outcome,) = train_classifiers([_toy_features()], cfg)
+    assert isinstance(outcome, NumericalError)
+    assert "non-finite" in str(outcome)
 
 
 # --- experiment runs ----------------------------------------------------
@@ -486,7 +486,8 @@ def test_all_techniques_produce_complete_report_rows(synth_corpus):
             assert report.setting is Setting.CLEAN
             if not report.failed:
                 assert report.matrix is not None
-                assert report.matrix.total() == len(synth_corpus.releases[i + 1].components)
+                cm = report.matrix
+                assert cm.tp + cm.fp + cm.tn + cm.fn == len(synth_corpus.releases[i + 1].components)
                 for value in (report.precision, report.recall, report.f_measure, report.mcc):
                     assert value is not None
             json.dumps(report_to_dict(report))  # schema must serialize
@@ -518,7 +519,7 @@ def test_each_component_is_featurised_once_per_run(monkeypatch):
 
 
 def _one_set_fit(rows, cfg):
-    """train_classifier as the one-set loop it was, with its label checks."""
+    """One set's fit as the loop it was, with its label checks."""
     if not rows:
         raise DegenerateLabels("no training components")
     if len({label for _, label in rows}) < 2:
@@ -582,11 +583,7 @@ def test_run_baseline_fits_every_pair_in_one_call(monkeypatch):
         calls.append(len(sets))
         return train_classifiers(sets, cfg)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a pair was fitted on its own")
-
     monkeypatch.setattr("vulnseq.baselines.train_classifiers", spy)
-    monkeypatch.setattr("vulnseq.baselines.train_classifier", forbidden)
     for technique in Technique:
         calls.clear()
         reports = run_baseline(corpus, technique, Setting.CLEAN)

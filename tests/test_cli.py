@@ -1,5 +1,6 @@
 """End-user command-line behaviour: flags, files, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from vulnseq.cli import main
-from vulnseq.corpus import load_corpus
+from vulnseq.corpus import ComponentRecord, Label, load_corpus, save_corpus
 from vulnseq.errors import IntegrityError, ParseError, VersionError
 from vulnseq.seq2seq import load_model
+from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
 DEMO_C = (
     "int add_one(int v)\n"
@@ -564,3 +566,102 @@ def test_hostile_sources_exit_cleanly(command, name, tmp_path):
         assert not out.exists()
     else:
         assert out.exists()
+
+
+def _cli(*args):
+    # a subprocess, so that a crash, a recursion limit or a RuntimeWarning
+    # shows as a user sees it
+    return subprocess.run(
+        [sys.executable, "-m", "vulnseq.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def hostile_corpus(tmp_path_factory):
+    """A small synthetic corpus whose every release also holds the hostile
+    sources, as non-vulnerable components."""
+    corpus = generate_synthetic_corpus(3, SynthesisSpec(n_releases=3, components_per_release=6))
+    hostile = tuple(
+        ComponentRecord(f"hostile/{k}.c", source, Label.NON_VULNERABLE)
+        for k, (source, _) in enumerate(HOSTILE_SOURCES.values())
+    )
+    corpus = dataclasses.replace(
+        corpus,
+        releases=tuple(
+            dataclasses.replace(r, components=r.components + hostile) for r in corpus.releases
+        ),
+    )
+    path = tmp_path_factory.mktemp("hostile") / "corpus.jsonl"
+    save_corpus(corpus, str(path))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["predict", "--release", "1", "-m", str(DESK_CKPT)]]
+    + [["baseline", "--technique", t] for t in ("metrics", "imports", "calls", "textmining")],
+    ids=["predict", "baseline-metrics", "baseline-imports", "baseline-calls",
+         "baseline-textmining"],
+)
+def test_hostile_sources_in_a_corpus_score_cleanly(argv, hostile_corpus, tmp_path):
+    # one hostile component may not take the whole run down
+    out = tmp_path / "out.jsonl"
+    proc = _cli(*argv, "-i", str(hostile_corpus), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.exists()
+
+
+# --- numerical overflow ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def overflowed(tmp_path_factory):
+    """A corpus, and a checkpoint one 1e300 step made: its weights reach
+    about 1e297, finite, but the identity check overflows on them."""
+    root = tmp_path_factory.mktemp("overflow")
+    corpus, ckpt = root / "corpus.jsonl", root / "model.ckpt"
+    assert main(["synth", "--seed", "3", "--components", "6", "-o", str(corpus)]) == 0
+    assert main(["train", "-i", str(corpus), "--release", "1", "--learning-rate", "1e300",
+                 "--max-steps", "1", "--iteration-steps", "1", "--holdout", "0",
+                 "-o", str(ckpt)]) == 0
+    return corpus, ckpt
+
+
+def test_predict_on_overflowing_weights_exits_one(overflowed, tmp_path):
+    corpus, ckpt = overflowed
+    out = tmp_path / "verdicts.jsonl"
+    proc = _cli("predict", "-i", str(corpus), "--release", "2", "-m", str(ckpt), "-o", str(out))
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == (
+        "error: the identity check went non-finite: overflow encountered in matmul\n"
+    )
+    assert not out.exists()
+
+
+def test_train_whose_validation_overflows_exits_one(overflowed, tmp_path):
+    corpus, _ = overflowed
+    out = tmp_path / "model.ckpt"
+    proc = _cli("train", "-i", str(corpus), "--release", "1", "--learning-rate", "1e308",
+                "--max-steps", "3", "--iteration-steps", "1", "-o", str(out))
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == (
+        "error: the identity check went non-finite: overflow encountered in matmul\n"
+    )
+    assert not out.exists()
+
+
+def test_evaluate_with_overflowing_training_fails_its_rows(overflowed, tmp_path):
+    corpus, _ = overflowed
+    out = tmp_path / "report.jsonl"
+    proc = _cli("evaluate", "-i", str(corpus), "--learning-rate", "1e308",
+                "--max-steps", "3", "--iteration-steps", "1", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["failed"] for r in rows[:-1]] == [True, True, True]
+    assert all("non-finite" in r["error"] for r in rows[:-1])
+    assert rows[-1]["failed_rows"] == 3

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import datetime
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnseq.cli import main
 from vulnseq.corpus import (
@@ -431,3 +434,56 @@ def test_material_is_plain_data():
 def test_jsonl_serialization_is_stable():
     corpus = generate_synthetic_corpus(3, SynthesisSpec(n_releases=2, components_per_release=8))
     assert corpus_to_jsonl(corpus) == corpus_to_jsonl(corpus)
+
+
+# --- mutated corpus files ---------------------------------------------------
+
+_FUZZ_LINES = corpus_to_jsonl(
+    generate_synthetic_corpus(3, SynthesisSpec(n_releases=3, components_per_release=4))
+).splitlines(keepends=True)
+
+# one value of each JSON type, some of them well-formed for some field;
+# 1e400 is written as Infinity, which Python's json reads back
+_JSON_VALUES = [None, True, 0, -1, 2.5, 1e400, "", "x", "2019-13-45",
+                [], ["a"], [["r0", "p"]], {}, {"a": 1}]
+
+
+def _drop_key(line, draw):
+    record = json.loads(line)
+    del record[draw(st.sampled_from(sorted(record)))]
+    return [json.dumps(record) + "\n"]
+
+
+def _retype_value(line, draw):
+    record = json.loads(line)
+    record[draw(st.sampled_from(sorted(record)))] = draw(st.sampled_from(_JSON_VALUES))
+    return [json.dumps(record) + "\n"]
+
+
+_MUTATIONS = {
+    "drop a key": _drop_key,
+    "retype a value": _retype_value,
+    "retype the record": lambda line, draw: [json.dumps(draw(st.sampled_from(_JSON_VALUES))) + "\n"],
+    "cut the line short": lambda line, draw: [line[: draw(st.integers(0, len(line) - 2))] + "\n"],
+    "duplicate the line": lambda line, draw: [line, line],
+    "drop the line": lambda line, draw: [],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_raises_only_corpus_errors(fuzz_path, data):
+    at = data.draw(st.integers(0, len(_FUZZ_LINES) - 1))
+    mutate = _MUTATIONS[data.draw(st.sampled_from(sorted(_MUTATIONS)))]
+    lines = list(_FUZZ_LINES)
+    lines[at : at + 1] = mutate(lines[at], data.draw)
+    fuzz_path.write_text("".join(lines))
+    try:
+        load_corpus(str(fuzz_path))
+    except (ParseError, IntegrityError, VersionError):
+        pass

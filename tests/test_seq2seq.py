@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnseq.abstraction import AbstractedSequence, SeqRole
 from vulnseq.errors import (
@@ -533,7 +536,6 @@ def test_flipped_byte_fails_digest(tmp_path):
 
 
 def test_unknown_format_version_rejected(tmp_path):
-    import hashlib
     import struct
 
     model = _tiny_model()
@@ -548,8 +550,6 @@ def test_unknown_format_version_rejected(tmp_path):
 
 
 def test_config_tensor_mismatch_is_a_version_error(tmp_path):
-    import hashlib
-
     model = _tiny_model()
     path = tmp_path / "m.ckpt"
     save_model(model, str(path))
@@ -570,3 +570,35 @@ def test_vocabulary_holding_a_token_twice_is_a_version_error(tmp_path):
     save_model(model, path)
     with pytest.raises(VersionError, match="vocabulary holds a token twice"):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A small checkpoint's path and its bytes; tests may overwrite it."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_model(_tiny_model(), str(path))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_checkpoints_raise_only_checkpoint_errors(checkpoint_file, cut):
+    path, raw = checkpoint_file
+    path.write_bytes(raw[: int(cut * len(raw))])
+    with pytest.raises((CorruptCheckpoint, VersionError)):
+        load_model(str(path))
+
+
+@settings(max_examples=400, deadline=None)
+@given(at=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255), resign=st.booleans())
+def test_flipped_checkpoints_raise_only_checkpoint_errors(checkpoint_file, at, mask, resign):
+    # re-signed, the flip gets past the digest to the parser and the checks
+    path, raw = checkpoint_file
+    body = bytearray(raw[:-32])
+    body[int(at * len(body))] ^= mask
+    path.write_bytes(bytes(body) + (hashlib.sha256(body).digest() if resign else raw[-32:]))
+    try:
+        load_model(str(path))
+    except (CorruptCheckpoint, VersionError):
+        return
+    assert resign  # a stale digest always fails
