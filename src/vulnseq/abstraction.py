@@ -80,7 +80,8 @@ def abstract_function(
     # spellings in first-occurrence order, as the roles come, numbers them
     # as a token-by-token pass would.
     for text, role in classify_identifier_roles(fn).items():
-        m = ID_TOKEN_RE.match(text)
+        # only an ID-shaped spelling, "X_<digits>", has "_" second
+        m = ID_TOKEN_RE.match(text) if text[1:2] == "_" else None
         named[text] = idmap.resolve(m.group(1) if m is not None else _ROLE_LETTER[role], text)
     return list(map(named.get, fn.texts, fn.texts)), idmap
 

@@ -18,6 +18,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -117,24 +118,26 @@ def call_features(component: ComponentRecord, spellings: Spellings | None = None
 
 
 _BRANCH_TOKENS = {"if", "while", "for", "case", "&&", "||"}
+_BRACES = frozenset("{}")
 
 
 def static_metric_features(
     component: ComponentRecord, spellings: Spellings | None = None
 ) -> FeatureVector:
-    loc = sum(1 for line in component.source.splitlines() if line.strip())
+    # the scans run in C (filter, len, str.strip); Python sees braces only
+    loc = len(list(filter(None, map(str.strip, component.source.splitlines()))))
     functions = _safe_functions(component.source, spellings)
     cyclomatic = 0
     max_nesting = 0
     for fn in functions:
         body = fn.texts[fn.header_length :]
-        cyclomatic += 1 + sum(1 for text in body if text in _BRANCH_TOKENS)
+        cyclomatic += 1 + len(list(filter(_BRANCH_TOKENS.__contains__, body)))
         depth = 0
-        for text in body:
+        for text in filter(_BRACES.__contains__, body):
             if text == "{":
                 depth += 1
                 max_nesting = max(max_nesting, depth)
-            elif text == "}":
+            else:
                 depth -= 1
     values = {
         "met:loc": float(loc),
@@ -196,9 +199,11 @@ def _standardized(features: list[tuple[FeatureVector, bool]]):
     index = {name: j for j, name in enumerate(names)}
     x = np.zeros((len(features), len(names)))
     y = np.array([1.0 if label else 0.0 for _, label in features])
-    for i, (fv, _) in enumerate(features):
-        for name, value in fv.values.items():
-            x[i, index[name]] = value
+    maps = [fv.values for fv, _ in features]
+    rows = np.repeat(np.arange(len(maps)), list(map(len, maps)))
+    x[rows, list(map(index.__getitem__, chain.from_iterable(maps)))] = list(
+        chain.from_iterable(map(dict.values, maps))
+    )
     mean = x.mean(axis=0)
     var = ((x - mean) ** 2).mean(axis=0)
     std = np.where(var > 0, np.sqrt(var), 1.0)
@@ -238,31 +243,46 @@ def train_classifiers(
     y = np.concatenate(ys)
     n = np.repeat(np.array(ns, dtype=float), ns)  # each row's set size
     set_of_row = np.repeat(np.arange(len(fits)), ns)
-    w = np.zeros(sum(x.shape[1] for x in xs))
-    grad = np.empty_like(w)
-    z = np.empty(len(y))
-    err = np.empty_like(z)
-    b = np.zeros(len(fits))
-    err_sums = np.empty_like(b)
+    d = sum(x.shape[1] for x in xs)
+    # every set's weights, then every set's bias, so that one update moves
+    # them all; a bias's decay is 0, and for a finite b, b - lr * (0 * b + g)
+    # has the bits of b - lr * g
+    params = np.zeros(d + len(fits))
+    grad, step = np.empty_like(params), np.empty_like(params)
+    decay = np.zeros_like(params)
+    decay[:d] = cfg.l2 * 2.0
+    w, b, err_sums = params[:d], params[d:], grad[d:]
+    z, ez, err = np.empty(len(y)), np.empty(len(y)), np.empty(len(y))
+    learning_rate = cfg.learning_rate
     # each set's views of the concatenated arrays
-    ws, grads = np.split(w, col_ends), np.split(grad, col_ends)
-    zs, errs = np.split(z, row_ends), np.split(err, row_ends)
+    ws, grads = np.split(w, col_ends), np.split(grad[:d], col_ends)
+    per_set = list(zip(xs, ws, grads, np.split(z, row_ends), np.split(err, row_ends)))
 
     # a diverging set overflows: its outcome says so, stderr does not
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            for x, w_k, z_k in zip(xs, ws, zs):
-                np.matmul(x, w_k, out=z_k)
-            z += b[set_of_row]
-            # overflow-safe sigmoid: exp only ever sees -|z|
-            ez = np.exp(-np.abs(z))
-            p = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
-            np.divide(p - y, n, out=err)
-            for k, (x, err_k, grad_k) in enumerate(zip(xs, errs, grads)):
-                np.matmul(err_k, x, out=grad_k)
-                err_sums[k] = err_k.sum()
-            w -= cfg.learning_rate * (cfg.l2 * 2.0 * w + grad)
-            b -= cfg.learning_rate * err_sums
+            for x, w_k, _, z_k, _ in per_set:
+                np.dot(x, w_k, out=z_k)
+            b.take(set_of_row, out=err)  # err holds each row's bias, then p, then p - y over n
+            z += err
+            # overflow-safe sigmoid p = exp(min(z, 0)) / (1 + exp(-|z|)):
+            # exp only ever sees numbers <= 0
+            np.abs(z, out=ez)
+            np.negative(ez, out=ez)
+            np.exp(ez, out=ez)
+            ez += 1.0
+            np.minimum(z, 0.0, out=err)
+            np.exp(err, out=err)
+            err /= ez
+            err -= y
+            err /= n
+            for k, (x, _, grad_k, _, err_k) in enumerate(per_set):
+                np.dot(err_k, x, out=grad_k)
+                err_sums[k] = np.add.reduce(err_k)
+            np.multiply(params, decay, out=step)
+            step += grad
+            step *= learning_rate
+            params -= step
 
         for slot, names_k, w_k, b_k, mean, std in zip(
             slots, names, ws, b.tolist(), means, stds

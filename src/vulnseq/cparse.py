@@ -8,11 +8,15 @@ identifiers and K&R-style definitions are skipped, not rejected.
 The work per token is bounded: one ``findall`` splits the source, each
 distinct spelling becomes one immutable ``Token`` that all its occurrences
 share (so compare tokens by value, never by identity), and brackets are
-matched in one stack pass per file. Spellings are classified once per
-call, not once per file: a front-end call over many sources (prediction
-over a release, a baseline run, pairing a release's fix pairs) lexes
-them all with one ``spelling_table()``, which it drops when it returns,
-so nothing is kept from one call to the next.
+matched in one stack pass per file. The split tries words (identifiers
+and keywords) right after whitespace, since most tokens are one of the
+two, and its punctuator alternative lists only the multi-character
+``PUNCTUATORS``: every single character falls to the final ``.``, which
+keeps the longest match. Spellings are classified once per call, not
+once per file: a front-end call over many sources (prediction over a
+release, a baseline run, pairing a release's fix pairs) lexes them all
+with one ``spelling_table()``, which it drops when it returns, so
+nothing is kept from one call to the next.
 
 Each product is built once, and only for the callers that read it. The
 file pass strips noise once; a ``FunctionUnit`` keeps only its slices of
@@ -20,9 +24,12 @@ the file's significant tokens and their texts, which abstraction, role
 classification, change labelling, the baselines and ``dump-tokens``
 read, so a function's comments and whitespace are not kept. The signature
 key is built on first read, because only pairing reads it: prediction
-and the baselines never pay for it. ``classify_identifier_roles`` walks
-a function's distinct spellings once, in first-occurrence order, and
-abstraction numbers its IDs from that same walk.
+and the baselines never pay for it. ``classify_identifier_roles`` is one
+pass over a function's tokens: it skips every kind but identifiers and
+literals and every spelling already seen, so its roles come in
+first-occurrence order, and abstraction numbers its IDs from that same
+pass. The set of called spellings is built only when a first occurrence
+needs it, one that is neither followed by "(" nor a type.
 """
 
 from __future__ import annotations
@@ -110,18 +117,21 @@ PUNCTUATORS = sorted(
 _TOKEN_RE = re.compile(
     r"""
       (?P<whitespace>\s+)
+    | (?P<identifier>[A-Za-z_]\w*)
     | (?P<comment>/\*.*?\*/|//[^\n]*)
     | (?P<string_literal>"(?:\\.|[^"\\\n])*")
     | (?P<char_literal>'(?:\\.|[^'\\\n])*')
     | (?P<number_literal>(?:\d|\.\d)(?:[eEpP][+-]|[\w.])*)
-    | (?P<identifier>[A-Za-z_]\w*)
     | (?P<open_comment>/\*)
     | (?P<open_string>")
     | (?P<open_char>')
     """
-    # An unknown byte (e.g. @ or a stray backslash) is kept as a one-char
-    # punctuator, so the round-trip invariant holds.
-    + "| (?P<punctuator>" + "|".join(map(re.escape, PUNCTUATORS)) + "|.)",
+    # Every single character falls to ".", so only the longer punctuators
+    # need alternatives; an unknown byte (e.g. @ or a stray backslash) is
+    # kept as a one-char punctuator, so the round-trip invariant holds.
+    + "| (?P<punctuator>"
+    + "|".join(re.escape(p) for p in PUNCTUATORS if len(p) > 1)
+    + "|.)",
     re.VERBOSE | re.DOTALL,
 )
 
@@ -204,13 +214,14 @@ def tokenize(source: str, spellings: Spellings | None = None) -> list[Token]:
     return list(map(spellings.__getitem__, texts))
 
 
-_LITERALS = (TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL)
 # Per-token loops compare kinds against these names with ``is``: on Python
 # 3.11 reading a member off its Enum class costs several times a global
 # lookup, and two identity tests beat ``in`` on a tuple of kinds.
 _IDENTIFIER = TokenKind.IDENTIFIER
 _WHITESPACE = TokenKind.WHITESPACE
 _COMMENT = TokenKind.COMMENT
+_STRING_LITERAL = TokenKind.STRING_LITERAL
+_CHAR_LITERAL = TokenKind.CHAR_LITERAL
 _DECL_BOUNDARY = {"{", ";", "(", ","}
 _TAG_KEYWORDS = {"struct", "union", "enum"}
 
@@ -374,25 +385,25 @@ def classify_identifier_roles(fn: FunctionUnit) -> dict[str, Role]:
     """
     sig = fn.tokens
     texts = fn.texts
-    called = set(compress(texts, map("(".__eq__, texts[1:])))
-    # each spelling's first index: zipping in reverse leaves the lowest
-    first = dict(zip(reversed(texts), range(len(texts) - 1, -1, -1)))
     roles: dict[str, Role] = {}
-    for idx in sorted(first.values()):
-        kind = sig[idx].kind
+    called = None  # spellings with an occurrence followed by "(", on first need
+    for idx, tok in enumerate(sig):
+        kind = tok.kind
         if kind is not _IDENTIFIER:
-            if kind in _LITERALS:
-                roles[texts[idx]] = Role.LITERAL
+            if kind is _STRING_LITERAL or kind is _CHAR_LITERAL:
+                roles.setdefault(tok.text, Role.LITERAL)
             continue
-        text = texts[idx]
+        text = tok.text
+        if text in roles:
+            continue
         if texts[idx + 1 : idx + 2] == ("(",):
             roles[text] = Role.FUNCTION
         elif (idx > 0 and texts[idx - 1] in _TAG_KEYWORDS) or _in_type_position(sig, texts, idx):
             roles[text] = Role.TYPE
-        elif text in called:
-            roles[text] = Role.FUNCTION
         else:
-            roles[text] = Role.VARIABLE
+            if called is None:
+                called = set(compress(texts, map("(".__eq__, texts[1:])))
+            roles[text] = Role.FUNCTION if text in called else Role.VARIABLE
     return roles
 
 

@@ -341,7 +341,10 @@ def train(
             train_step([encoded[i] for i in take], model, state)
         if not validation:
             continue
-        rate = exact_match_rate(model, validation)
+        try:
+            rate = exact_match_rate(model, validation)
+        except NumericalError as exc:
+            raise NumericalError(str(exc), step=state.step) from exc
         state.validation_history.append((state.step, rate))
         if rate <= best_rate:
             # rates lie in [0, 1], so the first check improves on -1 and

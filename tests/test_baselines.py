@@ -6,11 +6,13 @@ import json
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from vulnseq.baselines import (
+    DEFAULT_BINS,
     BaselinePrediction,
     ClassifierConfig,
     FeatureVector,
@@ -32,7 +34,15 @@ from vulnseq.corpus import (
     clean_training_set,
     training_material,
 )
-from vulnseq.errors import ConfigError, DegenerateLabels, NumericalError, VulnseqError
+from vulnseq.cparse import Role, extract_functions, spelling_table, strip_noise, tokenize
+from vulnseq.errors import (
+    ConfigError,
+    DegenerateLabels,
+    LexError,
+    NumericalError,
+    StructureError,
+    VulnseqError,
+)
 from vulnseq.evaluate import (
     EvaluationReport,
     Setting,
@@ -43,7 +53,8 @@ from vulnseq.evaluate import (
 )
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
-from conftest import IGMP_VULN, IGMP_FIXED
+from conftest import DEV_LOAD, IGMP_FIXED, IGMP_VULN
+from test_front_end_parity import reference_classify_identifier_roles
 
 
 def _component(source, path="c.c"):
@@ -157,6 +168,96 @@ def test_extract_features_dispatch():
 def test_feature_vector_rejects_non_finite_values():
     with pytest.raises(ConfigError):
         FeatureVector("p.c", {"bad": float("nan")})
+
+
+def _reference_token_frequencies(source):
+    """token_frequencies as a generator over the noise-stripped tokens."""
+    try:
+        tokens = strip_noise(tokenize(source))
+    except LexError:
+        return Counter()
+    return Counter(t.text for t in tokens)
+
+
+def _reference_functions(source):
+    try:
+        return extract_functions(tokenize(source))
+    except (LexError, StructureError):
+        return []
+
+
+def _reference_static_metrics(source):
+    """The per-token line count and body scan of static_metric_features."""
+    loc = sum(1 for line in source.splitlines() if line.strip())
+    functions = _reference_functions(source)
+    cyclomatic = 0
+    max_nesting = 0
+    for fn in functions:
+        body = fn.texts[fn.header_length :]
+        branches = {"if", "while", "for", "case", "&&", "||"}
+        cyclomatic += 1 + sum(1 for text in body if text in branches)
+        depth = 0
+        for text in body:
+            if text == "{":
+                depth += 1
+                max_nesting = max(max_nesting, depth)
+            elif text == "}":
+                depth -= 1
+    return {
+        "met:loc": float(loc),
+        "met:cyclomatic": float(cyclomatic),
+        "met:maxNesting": float(max_nesting),
+        "met:nFunctions": float(len(functions)),
+    }
+
+
+def _reference_features(component, technique):
+    """Each technique's features from the per-token loops, kept as oracles;
+    function calls use the role classifier's own oracle. The include scan
+    is a regex that no loop replaced, so it is its own reference."""
+    source = component.source
+    if technique is Technique.TEXT_MINING:
+        values = {
+            f"bow:{token}": float(min(DEFAULT_BINS - 1, int(math.log2(count))))
+            for token, count in _reference_token_frequencies(source).items()
+        }
+    elif technique is Technique.SOFTWARE_METRICS:
+        values = _reference_static_metrics(source)
+    elif technique is Technique.FUNCTION_CALLS:
+        functions = _reference_functions(source)
+        called = {
+            name
+            for fn in functions
+            for name, role in reference_classify_identifier_roles(fn).items()
+            if role is Role.FUNCTION
+        }
+        values = {f"call:{name}": 1.0 for name in called - {fn.name for fn in functions}}
+    else:
+        values = import_features(component).values
+    return FeatureVector(component.path, values)
+
+
+@pytest.mark.parametrize("technique", list(Technique))
+def test_features_equal_the_per_token_loops(technique):
+    # one spelling table for the whole corpus, as a baseline run shares it
+    corpus = generate_synthetic_corpus(11, SynthesisSpec())
+    spellings = spelling_table()
+    components = [c for release in corpus.releases for c in release.components]
+    edge_cases = [
+        IGMP_VULN,
+        IGMP_FIXED,
+        DEV_LOAD,
+        'int f(void) { char *s = "unterminated; }\n',  # fails to lex
+        "int f(void) { if (x) { y(); }\n",  # fails to extract
+        "#include <a.h>\n\n  \t\n/* x */ int f(void) {}\n",
+        # a switch, and a name read before it is called
+        "int g(int c) {\n  int (*fp)(int) = h;\n"
+        "  switch (c) { case 1: return h(c); default: { return 0; } }\n}\n",
+    ]
+    components += [_component(source, f"edge{i}.c") for i, source in enumerate(edge_cases)]
+    for component in components:
+        got = extract_features(component, technique, spellings=spellings)
+        assert got == _reference_features(component, technique), component.path
 
 
 # --- classifier ---------------------------------------------------------

@@ -642,15 +642,17 @@ def test_predict_on_overflowing_weights_exits_one(overflowed, tmp_path):
     assert not out.exists()
 
 
+VALIDATION_OVERFLOW = "the identity check went non-finite: overflow encountered in matmul (step 1)"
+
+
 def test_train_whose_validation_overflows_exits_one(overflowed, tmp_path):
     corpus, _ = overflowed
     out = tmp_path / "model.ckpt"
     proc = _cli("train", "-i", str(corpus), "--release", "1", "--learning-rate", "1e308",
                 "--max-steps", "3", "--iteration-steps", "1", "-o", str(out))
     assert proc.returncode == 1, proc.stdout
-    assert proc.stderr == (
-        "error: the identity check went non-finite: overflow encountered in matmul\n"
-    )
+    # the validation after the first step overflows, and the message says so
+    assert proc.stderr == f"error: {VALIDATION_OVERFLOW}\n"
     assert not out.exists()
 
 
@@ -663,5 +665,5 @@ def test_evaluate_with_overflowing_training_fails_its_rows(overflowed, tmp_path)
     assert proc.stderr == ""
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["failed"] for r in rows[:-1]] == [True, True, True]
-    assert all("non-finite" in r["error"] for r in rows[:-1])
+    assert [r["error"] for r in rows[:-1]] == [VALIDATION_OVERFLOW] * 3
     assert rows[-1]["failed_rows"] == 3

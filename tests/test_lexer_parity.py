@@ -197,6 +197,15 @@ def test_parity_on_every_punctuator_and_keyword():
             _assert_parity(source)
 
 
+def test_parity_on_every_pair_of_punctuators():
+    # two punctuators meet at a longest-match boundary ("-" + ">=" lexes as
+    # "->", "="), which the lexer's alternatives must cut where the oracle's
+    # longest-first loop does; the sampled alphabet does not reach them all
+    for first in PUNCTUATORS:
+        for second in PUNCTUATORS:
+            _assert_parity(first + second)
+
+
 # Good sources that share spellings, with ones that fail to lex between
 # them; a failing source holds spellings of its own, and its kind and byte
 # offset must be those it gets when lexed alone.
