@@ -155,7 +155,7 @@ class ClassifierConfig:
     l2: float = 1e-3
     threshold: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("learning_rate", "l2", "threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -225,7 +225,6 @@ def train_classifiers(
     weights, while each set keeps its own matrix-vector products and its
     own bias sum, so BLAS and the pairwise sum see the same calls.
     """
-    cfg.validate()
     outcomes: list = [None] * len(sets)
     fits = []
     for slot, features in enumerate(sets):
@@ -330,7 +329,6 @@ def run_baseline(
 ) -> list[EvaluationReport]:
     """A classical technique through the release-pair protocol."""
     cfg = classifier_config if classifier_config is not None else ClassifierConfig()
-    cfg.validate()
     if bins < 1:
         raise ConfigError("bins must be >= 1")
 

@@ -192,7 +192,6 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             values[field] = flag_value
     model = ModelConfig(seed=seed, **values)
-    model.validate()
     ratio = getattr(args, "ratio", None)
     if ratio is None:
         ratio = data.get("pairing", {}).get("non_vuln_ratio", 5.0)

@@ -5,18 +5,24 @@ from __future__ import annotations
 import os
 import tempfile
 
+from .errors import ConfigError
+
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the OSError names the temp file; the user named path
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -2,11 +2,13 @@
 
 Layout: magic, format version, canonical-JSON config, vocabulary table,
 parameter tensors as little-endian float64 in declared order, and a
-trailing sha256 over everything before it. A bad digest, truncation, or
-text that is not UTF-8 or JSON is corruption; a digest-valid file whose
-config fails ``ModelConfig.validate``, whose vocabulary holds a token
-twice, or whose config, vocabulary and tensor shapes disagree is a
-version problem.
+trailing sha256 over everything before it. The v1 config also stores the
+layer counts, which the architecture fixes at 1 (encoder) and 2
+(decoder). A bad digest, truncation, or text that is not UTF-8 or JSON
+is corruption; a digest-valid file whose config ``ModelConfig`` rejects
+or stores other layer counts, whose vocabulary holds a token twice, or
+whose config, vocabulary and tensor shapes disagree is a version
+problem.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ import typing
 
 import numpy as np
 
-from ..errors import ConfigError, CorruptCheckpoint, VersionError
+from ..errors import ConfigError, CorruptCheckpoint, ShapeError, VersionError
 from ..fileio import atomic_write_bytes
 from .model import ModelConfig, Seq2SeqModel, parameter_shapes
 from .vocab import RESERVED_TOKENS, Vocabulary
 
 MAGIC = b"VSQM"
 FORMAT_VERSION = 1
+# v1 stores the layer counts the architecture fixes
+_FIXED_LAYERS = {"encoder_layers": 1, "decoder_layers": 2}
 
 
 def _pack_str(s: str) -> bytes:
@@ -59,7 +63,7 @@ class _Reader:
 def save_model(model: Seq2SeqModel, path: str) -> None:
     chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     config_json = json.dumps(
-        dataclasses.asdict(model.config), sort_keys=True, separators=(",", ":")
+        dataclasses.asdict(model.config) | _FIXED_LAYERS, sort_keys=True, separators=(",", ":")
     )
     chunks.append(_pack_str(config_json))
     vocab = model.vocabulary.index_to_token
@@ -84,20 +88,22 @@ def _config(text: str) -> ModelConfig:
     except json.JSONDecodeError as exc:
         raise CorruptCheckpoint(f"config is not valid JSON: {exc}") from None
     types = typing.get_type_hints(ModelConfig)
-    if not isinstance(fields, dict) or set(fields) != set(types):
+    if not isinstance(fields, dict) or set(fields) != set(types) | set(_FIXED_LAYERS):
         raise VersionError("checkpoint config schema does not match")
+    for name, fixed in _FIXED_LAYERS.items():
+        value = fields.pop(name)
+        if type(value) is not int or value != fixed:
+            raise VersionError(f"checkpoint config {name} must be {fixed}, got {value!r}")
     for name, kind in types.items():
         value = fields[name]
         # bool is an int subclass, and a float field may hold an int
         allowed = (int, float) if kind is float else (kind,)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise VersionError(f"checkpoint config {name} must be {kind.__name__}, got {value!r}")
-    config = ModelConfig(**fields)
     try:
-        config.validate()
+        return ModelConfig(**fields)
     except ConfigError as exc:
         raise VersionError(f"checkpoint config is invalid: {exc}") from None
-    return config
 
 
 def load_model(path: str) -> Seq2SeqModel:
@@ -133,15 +139,11 @@ def load_model(path: str) -> Seq2SeqModel:
         params[name] = data.reshape(shape).astype(np.float64)
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after parameters")
-    expected = parameter_shapes(config, vocabulary.size())
-    if set(params) != set(expected):
-        raise VersionError("parameter set does not match the stored config")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise VersionError(
-                f"{name}: stored shape {params[name].shape} does not match "
-                f"config shape {shape}"
-            )
-        if not np.isfinite(params[name]).all():
+    try:
+        model = Seq2SeqModel(config, vocabulary, params)
+    except ShapeError as exc:
+        raise VersionError(f"stored tensors do not match the stored config: {exc}") from None
+    for name, tensor in model.params.items():
+        if not np.isfinite(tensor).all():
             raise CorruptCheckpoint(f"{name} contains non-finite values")
-    return Seq2SeqModel(config, vocabulary, params)
+    return model

@@ -19,7 +19,10 @@ projection and softmax runs over real tokens only and no loop holds a
 mask. The encoder's backward direction reads each row reversed within
 its own length, so both directions share k[t] and run as one stacked
 recurrence. A single step, as ``recurrent_cell`` and ``decode_greedy``
-take them, is a packing of one row of length 1.
+take them, is a packing of one row of length 1. ``_encode_rows``, the one
+encoder assembly of training, ``encode`` and the identity check, bridges
+the final states in the caller's decoder order. A ``ModelConfig`` checks
+its values and a ``Seq2SeqModel`` its parameter shapes once, when built.
 
 ``greedy_reproduces`` is the one "does greedy decoding give this target
 back?" check, for prediction and validation alike. Abstracted chunks
@@ -45,8 +48,6 @@ from .vocab import EOS, SOS, Vocabulary
 class ModelConfig:
     embedding_dim: int = 32
     hidden_units: int = 32
-    encoder_layers: int = 1
-    decoder_layers: int = 2
     max_decode_length: int = 64
     learning_rate: float = 0.05
     batch_size: int = 16
@@ -56,7 +57,7 @@ class ModelConfig:
     min_count: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("learning_rate", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -75,10 +76,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
-        if self.encoder_layers != 1:
-            raise ConfigError("only a 1-layer encoder is supported")
-        if self.decoder_layers != 2:
-            raise ConfigError("only a 2-layer decoder is supported")
         if self.max_decode_length < 52:
             raise ConfigError("max_decode_length must be >= 52")
         if self.seed < 0:
@@ -93,7 +90,7 @@ def parameter_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, 
         shapes[f"enc_{direction}_W"] = (d, 4 * h)
         shapes[f"enc_{direction}_U"] = (h, 4 * h)
         shapes[f"enc_{direction}_b"] = (4 * h,)
-    for layer in range(cfg.decoder_layers):
+    for layer in range(2):
         for kind in ("h", "c"):
             shapes[f"bridge_{kind}{layer}_W"] = (2 * h, h)
             shapes[f"bridge_{kind}{layer}_b"] = (h,)
@@ -114,12 +111,21 @@ class Seq2SeqModel:
     vocabulary: Vocabulary
     params: dict[str, np.ndarray] = field(repr=False)
 
+    def __post_init__(self):
+        expected = parameter_shapes(self.config, self.vocabulary.size())
+        if set(self.params) != set(expected):
+            raise ShapeError("parameter names do not match the architecture")
+        for name, shape in expected.items():
+            if self.params[name].shape != shape:
+                raise ShapeError(
+                    f"{name}: expected shape {shape}, got {self.params[name].shape}"
+                )
+
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
 
 def init_model(cfg: ModelConfig, vocabulary: Vocabulary) -> Seq2SeqModel:
-    cfg.validate()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     r = 1.0 / np.sqrt(cfg.hidden_units)
     params = {
@@ -127,17 +133,6 @@ def init_model(cfg: ModelConfig, vocabulary: Vocabulary) -> Seq2SeqModel:
         for name, shape in parameter_shapes(cfg, vocabulary.size()).items()
     }
     return Seq2SeqModel(cfg, vocabulary, params)
-
-
-def check_parameter_shapes(model: Seq2SeqModel) -> None:
-    expected = parameter_shapes(model.config, model.vocabulary.size())
-    if set(model.params) != set(expected):
-        raise ShapeError("parameter names do not match the architecture")
-    for name, shape in expected.items():
-        if model.params[name].shape != shape:
-            raise ShapeError(
-                f"{name}: expected shape {shape}, got {model.params[name].shape}"
-            )
 
 
 class _Packing(NamedTuple):
@@ -303,19 +298,22 @@ def _encoder_forward(p, seqs: list[list[int]], pe: _Packing):
     return ids, X, Z, _packed_lstm_forward(Z, zeros, zeros, U, pe), W, U
 
 
-def _encode_batch(model: Seq2SeqModel, inputs: list[list[int]]):
-    """Run the encoder over a batch packed by input length.
+def _encode_rows(p, seqs: list[list[int]], rows):
+    """Run the encoder over seqs and bridge the final states of batch rows
+    ``rows``, in that order.
 
-    Returns the encoder trace and the bridged decoder initial states of
-    each row, in batch order.
+    Returns the encoder's packing, the sorted position of each requested
+    row, the encoder run (see _encoder_forward), the concatenated final
+    states (h_cat, c_cat) and the bridged decoder initial states:
+    backpropagation reads them all, inference only the last.
     """
-    pe = _pack([len(s) for s in inputs])
-    trace = _encoder_forward(model.params, inputs, pe)[3]
-    # batch row order[j] ends at trace row last[j]
-    fin = np.empty_like(pe.last)
-    fin[pe.order] = pe.last
-    h_cat, c_cat = (np.concatenate(states[:, fin], axis=1) for states in trace[:2])
-    return trace, _bridge(model.params, h_cat, c_cat)
+    pe = _pack([len(s) for s in seqs])
+    run = _encoder_forward(p, seqs, pe)
+    # batch row order[j] is sorted row j, and ends at trace row last[j]
+    sel = np.argsort(pe.order)[rows]
+    fin = pe.last[sel]
+    cat = [np.concatenate(states[:, fin], axis=1) for states in run[3][:2]]
+    return pe, sel, run, cat, _bridge(p, *cat)
 
 
 def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
@@ -327,9 +325,9 @@ def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
 
 def encode(input_ids: list[int], model: Seq2SeqModel):
     """Encode one sequence. Returns (outputs (T,2H), decoder init states)."""
-    check_parameter_shapes(model)
     _check_input_ids(input_ids, model.vocabulary.size())
-    (Hs, _, _), init = _encode_batch(model, [input_ids])
+    _, _, run, _, init = _encode_rows(model.params, [input_ids], [0])
+    Hs = run[3][0]
     # trace row t + 1 holds the state after step t, and direction 1's step
     # t reads position T-1-t, so its outputs run reversed
     outputs = np.concatenate([Hs[0, 1:], Hs[1, :0:-1]], axis=1)
@@ -418,7 +416,6 @@ def greedy_reproduces(
     """
     if len(inputs) != len(targets):
         raise ShapeError("inputs and targets differ in length")
-    check_parameter_shapes(model)
     # the slot of each row's distinct (input, target), in first-seen order
     distinct: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     slots = [
@@ -455,13 +452,13 @@ def greedy_reproduces(
 
 
 def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
-    init = _encode_batch(model, inputs)[1]
     # greedy decoding is fed [SOS] + target and must emit target + [EOS],
     # but it stops after cap steps, so a target of cap ids needs no EOS
     cap = model.config.max_decode_length
     fed = [[SOS, *t][:cap] for t in targets]
     pd = _pack([len(s) for s in fed])
-    init = [(h[pd.order], c[pd.order]) for h, c in init]
+    # only the bridged states outlive the encoder: its trace is freed here
+    init = _encode_rows(model.params, inputs, pd.order)[-1]
     logits = _decoder_forward(model.params, _packed_ids(pd, fed), init, pd)[1]
     want = _packed_ids(pd, [[*t, EOS][:cap] for t in targets])
     wrong = np.argmax(softmax(logits), axis=1) != want

@@ -23,9 +23,8 @@ from ..pairing import TrainingPair
 from .model import (
     ModelConfig,
     Seq2SeqModel,
-    _bridge,
     _decoder_forward,
-    _encoder_forward,
+    _encode_rows,
     _pack,
     _packed_ids,
     _Packing,
@@ -157,21 +156,15 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     tgt = [pair.target_ids for pair in encoded]
     n = len(batch)
     grads: dict[str, np.ndarray] = {}
-    pe = _pack([len(s) for s in enc])
-    if pe.lengths[0] == 0:
+    if not all(enc):
         raise ShapeError("batch contains an empty input sequence")
     pd = _pack([len(s) + 1 for s in tgt])  # room for EOS
-    # decoder row j reads the final encoder states of encoder row perm[j]
-    rank = np.empty(n, dtype=np.int64)
-    rank[pe.order] = np.arange(n)
-    perm = rank[pd.order]
 
-    # ---- encoder forward: both directions as one stacked recurrence
-    enc_ids, eX, eZ, e_trace, eW, eU = _encoder_forward(p, enc, pe)
-    fin = pe.last[perm]
-    h_cat = np.concatenate(e_trace[0][:, fin], axis=1)
-    c_cat = np.concatenate(e_trace[1][:, fin], axis=1)
-    init = _bridge(p, h_cat, c_cat)
+    # ---- encoder forward: both directions as one stacked recurrence;
+    # decoder row j reads the final encoder states of sorted row perm[j]
+    pe, perm, (enc_ids, eX, eZ, e_trace, eW, eU), (h_cat, c_cat), init = _encode_rows(
+        p, enc, pd.order
+    )
 
     # ---- decoder forward (teacher forcing)
     dec_in = _packed_ids(pd, [[SOS, *s] for s in tgt])
@@ -318,7 +311,6 @@ def train(
     Parameters are copied only at an improving check that another block
     may follow, since only such a block can be rolled back.
     """
-    config.validate()
     if not pairs:
         raise ConfigError("no training pairs")
     vocab = vocabulary_from_pairs(pairs, config.min_count)

@@ -72,13 +72,19 @@ class SynthesisSpec:
     # with unrelated content (a rewrite; nothing vulnerable-looking stays)
     fix_replaces_file: bool = False
 
-    def validate(self) -> None:
+    @property
+    def vulnerable_per_release(self) -> int:
+        return int(self.components_per_release * self.vuln_fraction + 0.5)
+
+    def __post_init__(self):
         if self.n_releases < 2:
             raise ConfigError("n_releases must be at least 2")
         if self.components_per_release < 1:
             raise ConfigError("components_per_release must be positive")
         if not 0.0 < self.vuln_fraction < 1.0:
             raise ConfigError("vuln_fraction must be in (0, 1)")
+        if self.vulnerable_per_release >= self.components_per_release:
+            raise ConfigError("vuln_fraction leaves no non-vulnerable components")
         if not (math.isfinite(self.vocabulary_skew) and self.vocabulary_skew >= 0.0):
             raise ConfigError("vocabulary_skew must be finite and non-negative")
         if self.detection_lag_days < 0:
@@ -322,11 +328,8 @@ def vulnerable_file(
 
 def generate_synthetic_corpus(seed: int, spec: SynthesisSpec) -> Corpus:
     """Pure function of (seed, spec): same inputs, byte-identical corpus."""
-    spec.validate()
     rng = random.Random(seed)
-    n_vuln = int(spec.components_per_release * spec.vuln_fraction + 0.5)
-    if n_vuln >= spec.components_per_release:
-        raise ConfigError("vuln_fraction leaves no non-vulnerable components")
+    n_vuln = spec.vulnerable_per_release
     paths = [
         f"src/unit_{j:03d}.c" for j in range(spec.components_per_release)
     ]

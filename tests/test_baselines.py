@@ -314,27 +314,30 @@ def test_single_class_training_is_rejected():
     assert isinstance(outcome, DegenerateLabels)
 
 
+# keyword arguments that ClassifierConfig rejects
 BAD_CLASSIFIER_CONFIGS = [
-    ClassifierConfig(learning_rate=0.0),
-    ClassifierConfig(iterations=-1),
-    ClassifierConfig(l2=-0.1),
-    ClassifierConfig(threshold=7.0),
-    ClassifierConfig(threshold=-0.1),
-    ClassifierConfig(learning_rate=float("nan")),
-    ClassifierConfig(l2=float("inf")),
-    ClassifierConfig(threshold=float("nan")),
+    {"learning_rate": 0.0},
+    {"iterations": -1},
+    {"l2": -0.1},
+    {"threshold": 7.0},
+    {"threshold": -0.1},
+    {"learning_rate": float("nan")},
+    {"l2": float("inf")},
+    {"threshold": float("nan")},
 ]
 
 
 def test_classifier_config_validation():
-    for cfg in BAD_CLASSIFIER_CONFIGS:
+    for bad in BAD_CLASSIFIER_CONFIGS:
         with pytest.raises(ConfigError):
-            train_classifiers([_toy_features()], cfg)
+            ClassifierConfig(**bad)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ClassifierConfig(), **bad)
 
 
 def test_threshold_bounds_are_inclusive():
-    ClassifierConfig(threshold=0.0).validate()
-    ClassifierConfig(threshold=1.0).validate()
+    ClassifierConfig(threshold=0.0)
+    ClassifierConfig(threshold=1.0)
 
 
 # --- reference classifier -----------------------------------------------
@@ -726,7 +729,7 @@ def test_late_detections_give_failed_baseline_rows(synth_corpus):
 
 @pytest.mark.parametrize(
     "cfg,bins",
-    [(ClassifierConfig(), 0)] + [(cfg, 10) for cfg in BAD_CLASSIFIER_CONFIGS],
+    [({}, 0)] + [(bad, 10) for bad in BAD_CLASSIFIER_CONFIGS],
 )
 def test_bad_settings_are_rejected_before_any_pair(synth_corpus, monkeypatch, cfg, bins):
     def walked(*args, **kwargs):
@@ -735,4 +738,4 @@ def test_bad_settings_are_rejected_before_any_pair(synth_corpus, monkeypatch, cf
     monkeypatch.setattr("vulnseq.baselines.extract_features", walked)
     for technique in (Technique.TEXT_MINING, Technique.IMPORTS):
         with pytest.raises(ConfigError):
-            run_baseline(synth_corpus, technique, Setting.CLEAN, cfg, bins=bins)
+            run_baseline(synth_corpus, technique, Setting.CLEAN, ClassifierConfig(**cfg), bins=bins)

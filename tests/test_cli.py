@@ -14,7 +14,7 @@ import pytest
 from vulnseq.cli import main
 from vulnseq.corpus import ComponentRecord, Label, load_corpus, save_corpus
 from vulnseq.errors import IntegrityError, ParseError, VersionError
-from vulnseq.seq2seq import load_model
+from vulnseq.seq2seq import load_model, save_model
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
 DEMO_C = (
@@ -356,6 +356,30 @@ def test_negative_seed_exits_one(command, flags, config, corpus_file, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("synth", ["--seed", "1", "--releases", "2", "--components", "4"]),
+        ("train", ["--release", "0", "--max-steps", "1", "--iteration-steps", "1",
+                   "--holdout", "0"]),
+    ],
+    ids=["synth", "train"],
+)
+def test_unwritable_output_exits_one_naming_the_path(command, flags, target, corpus_file,
+                                                      tmp_path, capsys):
+    if target == "missing-directory":
+        out = tmp_path / "absent" / "out"
+    else:
+        out = tmp_path / "taken"
+        out.mkdir()
+    inputs = [] if command == "synth" else ["-i", str(corpus_file)]
+    assert main([command, *inputs, *flags, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not list(tmp_path.rglob(".tmp-*~"))
+
+
 DESK_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ckpt"
 
 
@@ -400,6 +424,40 @@ def test_checkpoint_with_a_bad_config_exits_one(edit, message, corpus_file, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def _drop(name):
+    def edit(raw):
+        fields = json.loads(raw)
+        del fields[name]
+        return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+
+    return edit
+
+
+def test_desk_checkpoint_resaves_to_its_own_bytes(tmp_path):
+    out = tmp_path / "desk.ckpt"
+    save_model(load_model(str(DESK_CKPT)), str(out))
+    assert out.read_bytes() == DESK_CKPT.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("encoder_layers"), "config schema does not match"),
+        (_drop("decoder_layers"), "config schema does not match"),
+        (_set("decoder_layers", 3), "decoder_layers must be 2, got 3"),
+        (_set("encoder_layers", True), "encoder_layers must be 1, got True"),
+        (_set("encoder_layers", 1.0), "encoder_layers must be 1, got 1.0"),
+    ],
+    ids=["no-encoder-layers", "no-decoder-layers", "three-decoder-layers", "bool-encoder-layers",
+         "float-encoder-layers"],
+)
+def test_checkpoint_layer_counts_are_fixed(edit, message, tmp_path):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(_with_config(edit))
+    with pytest.raises(VersionError, match=message):
+        load_model(str(ckpt))
 
 
 def test_checkpoint_shape_too_large_to_count_exits_one(corpus_file, tmp_path, capsys):

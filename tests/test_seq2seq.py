@@ -23,6 +23,7 @@ from vulnseq.seq2seq import (
     SOS,
     UNK,
     ModelConfig,
+    Seq2SeqModel,
     TrainingState,
     build_vocabulary,
     compute_loss_and_grads,
@@ -188,7 +189,7 @@ def test_encode_reverse_symmetry_with_tied_directions():
 def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
     from test_train_step import _oracle_encode_batch
 
-    from vulnseq.seq2seq.model import _encode_batch
+    from vulnseq.seq2seq.model import _encode_rows
 
     model = _tiny_model()
     rng = np.random.default_rng(0)
@@ -204,7 +205,7 @@ def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
             mask[b, : len(row)] = 1.0
         outputs, _, _ = _oracle_encode_batch(model, ids, mask)
         _, oracle, _ = _oracle_encode_batch(model, ids, mask, states_only=True)
-        _, init = _encode_batch(model, rows)
+        init = _encode_rows(model.params, rows, np.arange(len(rows)))[-1]
         for b, row in enumerate(rows):
             out, single = encode(row, model)
             assert np.allclose(out, outputs[b, : len(row)], rtol=0, atol=1e-12)
@@ -286,13 +287,10 @@ def test_gradients_match_central_finite_differences():
     assert checked >= 25 * 5
 
 
-def test_zero_learning_rate_leaves_parameters_untouched():
+def test_zero_learning_rate_is_rejected():
     model = _tiny_model()
-    model.config = dataclasses.replace(model.config, learning_rate=0.0)
-    before = model.copy_params()
-    train_step(GRAD_PAIRS, model, TrainingState())
-    for name, tensor in model.params.items():
-        assert np.array_equal(tensor, before[name])
+    with pytest.raises(ConfigError, match="learning_rate must be positive"):
+        dataclasses.replace(model.config, learning_rate=0.0)
 
 
 def test_nan_parameters_raise_numerical_error_with_step():
@@ -315,6 +313,15 @@ def test_train_step_increments_step_and_empty_batch_rejected():
     assert state.step == 1
     with pytest.raises(ConfigError, match="empty batch"):
         compute_loss_and_grads(model, [])
+
+
+def test_a_batch_holding_any_empty_input_is_rejected():
+    # encode() rejects an empty input, so training must not learn from one
+    model = _tiny_model()
+    empty = _pair([], list("ab"), name="e")
+    for batch in ([empty], GRAD_PAIRS + [empty], [empty] + GRAD_PAIRS):
+        with pytest.raises(ShapeError, match="empty input sequence"):
+            compute_loss_and_grads(model, batch)
 
 
 def test_identity_batch_loss_strictly_decreases():
@@ -460,19 +467,38 @@ def test_training_copies_parameters_only_when_a_rollback_can_follow(monkeypatch)
 
 
 def test_validation_config_invariants():
-    with pytest.raises(ConfigError):
-        ModelConfig(max_decode_length=51).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(hidden_units=0).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(decoder_layers=3).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(learning_rate=-0.1).validate()
-    for name in ("learning_rate", "clip_norm"):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match=f"{name} must be finite"):
-                ModelConfig(**{name: value}).validate()
-    ModelConfig().validate()
+    bad = [
+        ({"max_decode_length": 51}, "max_decode_length must be >= 52"),
+        ({"hidden_units": 0}, "hidden_units must be positive"),
+        ({"learning_rate": -0.1}, "learning_rate must be positive"),
+        ({"max_steps": -1}, "max_steps must be >= 0"),
+        ({"seed": -2}, "seed must be non-negative"),
+    ] + [
+        ({name: value}, f"{name} must be finite")
+        for name in ("learning_rate", "clip_norm")
+        for value in (float("nan"), float("inf"))
+    ]
+    for values, message in bad:
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**values)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(TINY, **values)
+    assert len(dataclasses.fields(ModelConfig)) == 10
+
+
+def test_model_rejects_missing_extra_or_misshaped_parameters():
+    model = _tiny_model()
+    name = "dec1_U"
+    missing = {k: v for k, v in model.params.items() if k != name}
+    extra = dict(model.params, dec2_U=model.params[name])
+    misshaped = dict(model.params, **{name: model.params[name].T})
+    for params in (missing, extra):
+        with pytest.raises(ShapeError, match="parameter names"):
+            Seq2SeqModel(model.config, model.vocabulary, params)
+    with pytest.raises(ShapeError, match=f"{name}: expected shape"):
+        Seq2SeqModel(model.config, model.vocabulary, misshaped)
+    with pytest.raises(ShapeError):
+        dataclasses.replace(model, config=dataclasses.replace(model.config, hidden_units=5))
 
 
 def test_split_holdout_disjoint_and_deterministic():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -126,11 +127,14 @@ def test_fixed_component_keeps_guarded_source():
         {"vocabulary_skew": -0.5},
         {"vocabulary_skew": float("nan")},
         {"vocabulary_skew": float("inf")},
+        {"components_per_release": 1, "vuln_fraction": 0.6},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigError):
-        generate_synthetic_corpus(1, SynthesisSpec(**kwargs))
+        SynthesisSpec(**kwargs)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(SynthesisSpec(), **kwargs)
 
 
 def test_steepest_finite_skew_keeps_only_the_first_word():

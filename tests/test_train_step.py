@@ -113,7 +113,7 @@ def _oracle_encode_batch(
     c_cat = np.concatenate([states["fwd"][1], states["bwd"][1]], axis=1)
     init = []
     bridge_cache = []
-    for layer in range(model.config.decoder_layers):
+    for layer in range(2):
         h0 = np.tanh(h_cat @ p[f"bridge_h{layer}_W"] + p[f"bridge_h{layer}_b"])
         c0 = np.tanh(c_cat @ p[f"bridge_c{layer}_W"] + p[f"bridge_c{layer}_b"])
         init.append((h0, c0))
