@@ -2,6 +2,7 @@ from .checkpoint import load_model, save_model
 from .model import (
     ModelConfig,
     Seq2SeqModel,
+    Workspace,
     decode_greedy,
     encode,
     greedy_reproduces,
@@ -29,6 +30,7 @@ __all__ = [
     "Seq2SeqModel",
     "TrainingState",
     "Vocabulary",
+    "Workspace",
     "build_vocabulary",
     "compute_loss_and_grads",
     "decode_greedy",

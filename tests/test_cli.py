@@ -678,14 +678,19 @@ def test_hostile_sources_in_a_corpus_score_cleanly(argv, hostile_corpus, tmp_pat
 
 @pytest.fixture(scope="module")
 def overflowed(tmp_path_factory):
-    """A corpus, and a checkpoint one 1e300 step made: its weights reach
-    about 1e297, finite, but the identity check overflows on them."""
+    """A corpus, and a checkpoint whose weights are finite, about 1e296,
+    but overflow the identity check. train refuses to write such a model
+    (test_train_without_validation_refuses_an_overflowing_model), so the
+    weights of an untrained one are scaled up."""
     root = tmp_path_factory.mktemp("overflow")
     corpus, ckpt = root / "corpus.jsonl", root / "model.ckpt"
     assert main(["synth", "--seed", "3", "--components", "6", "-o", str(corpus)]) == 0
-    assert main(["train", "-i", str(corpus), "--release", "1", "--learning-rate", "1e300",
-                 "--max-steps", "1", "--iteration-steps", "1", "--holdout", "0",
-                 "-o", str(ckpt)]) == 0
+    assert main(["train", "-i", str(corpus), "--release", "1", "--max-steps", "0",
+                 "--holdout", "0", "-o", str(ckpt)]) == 0
+    model = load_model(str(ckpt))
+    for value in model.params.values():
+        value *= 1e297
+    save_model(model, str(ckpt))
     return corpus, ckpt
 
 
@@ -710,6 +715,18 @@ def test_train_whose_validation_overflows_exits_one(overflowed, tmp_path):
                 "--max-steps", "3", "--iteration-steps", "1", "-o", str(out))
     assert proc.returncode == 1, proc.stdout
     # the validation after the first step overflows, and the message says so
+    assert proc.stderr == f"error: {VALIDATION_OVERFLOW}\n"
+    assert not out.exists()
+
+
+def test_train_without_validation_refuses_an_overflowing_model(overflowed, tmp_path):
+    corpus, _ = overflowed
+    out = tmp_path / "model.ckpt"
+    proc = _cli("train", "-i", str(corpus), "--release", "1", "--learning-rate", "1e300",
+                "--max-steps", "1", "--iteration-steps", "1", "--holdout", "0", "-o", str(out))
+    assert proc.returncode == 1, proc.stdout
+    # with nothing to validate on, the identity check runs on the training
+    # pairs after the last step
     assert proc.stderr == f"error: {VALIDATION_OVERFLOW}\n"
     assert not out.exists()
 
