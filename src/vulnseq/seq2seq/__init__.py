@@ -2,7 +2,6 @@ from .checkpoint import load_model, save_model
 from .model import (
     ModelConfig,
     Seq2SeqModel,
-    Workspace,
     decode_greedy,
     encode,
     greedy_reproduces,
@@ -30,7 +29,6 @@ __all__ = [
     "Seq2SeqModel",
     "TrainingState",
     "Vocabulary",
-    "Workspace",
     "build_vocabulary",
     "compute_loss_and_grads",
     "decode_greedy",

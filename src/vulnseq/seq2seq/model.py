@@ -24,12 +24,10 @@ encoder assembly of training, ``encode`` and the identity check, bridges
 the final states in the caller's decoder order. A ``ModelConfig`` checks
 its values and a ``Seq2SeqModel`` its parameter shapes once, when built.
 
-Every array whose size grows with a batch's packed token count or with a
-parameter comes from a ``Workspace``. A training run gives its model one
-for all its steps, so its step arrays are allocated once: allocating them
-afresh every step let the C allocator hand the freed pages back to the
-system and fault them in again on the next step. Any other call runs on a
-private workspace, which allocates each array as it is taken.
+Every call allocates its arrays afresh. ``train()`` sets ``mallopt`` so
+that the C heap keeps what a step frees for the next, saving about 800
+page faults per desk step; the setting is process-wide, so a process
+that has trained keeps its freed heap memory.
 
 ``greedy_reproduces`` is the one "does greedy decoding give this target
 back?" check, for prediction and validation alike. Abstracted chunks
@@ -40,7 +38,6 @@ that verdict to every row that holds it.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
@@ -118,8 +115,6 @@ class Seq2SeqModel:
     config: ModelConfig
     vocabulary: Vocabulary
     params: dict[str, np.ndarray] = field(repr=False)
-    # the step arrays of the train() call that owns the model, while it runs
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         expected = parameter_shapes(self.config, self.vocabulary.size())
@@ -138,83 +133,13 @@ class Seq2SeqModel:
 def init_model(cfg: ModelConfig, vocabulary: Vocabulary) -> Seq2SeqModel:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     r = 1.0 / np.sqrt(cfg.hidden_units)
-    params = {
-        name: rng.uniform(-r, r, size=shape)
-        for name, shape in parameter_shapes(cfg, vocabulary.size()).items()
-    }
+    shapes = parameter_shapes(cfg, vocabulary.size())
+    try:
+        params = {name: rng.uniform(-r, r, size=shape) for name, shape in shapes.items()}
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        sizes = f"embedding_dim {cfg.embedding_dim}, hidden_units {cfg.hidden_units}"
+        raise ConfigError(f"a model of {sizes} does not fit in memory: {exc}") from None
     return Seq2SeqModel(cfg, vocabulary, params)
-
-
-def _mapped(size: int) -> np.ndarray:
-    """size float64s in a private memory mapping of their own.
-
-    Dropping it returns its pages to the system at once. From the C heap,
-    a buffer that a larger one replaces can stay resident as a hole that
-    the larger one does not fit. Large pages are asked for, as numpy does
-    for its own large arrays, so a new buffer costs few page faults.
-    """
-    if hasattr(mmap, "MAP_PRIVATE"):
-        mem = mmap.mmap(-1, size * 8, flags=mmap.MAP_PRIVATE)
-    else:  # Windows: every anonymous mapping is private
-        mem = mmap.mmap(-1, size * 8)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        mem.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(mem, np.float64)
-
-
-class Workspace:
-    """Arrays carved from one reusable buffer, a stack from either end.
-
-    ``take`` carves an array from the bottom and ``release`` frees the
-    bottom back to a ``mark``, last in, first out, as a step's layers and
-    their backward temporaries come and go. ``take(..., top=True)`` and
-    the ``top`` marks do the same from the other end, for the gradients,
-    which outlive the layers that produce them, and for the forward pass's
-    scratch, which is gone before the first gradient. The buffer is as
-    large as the most that any step has held at once, so the gradients
-    reuse pages that the layers' arrays held at that peak.
-
-    A request that does not fit is allocated on its own, and ``reset``,
-    which frees both ends for the next step, grows the buffer to the new
-    most. So a fresh workspace allocates each array as it is taken, and one
-    reused across steps allocates only when a step needs more than any
-    before it.
-    """
-
-    def __init__(self):
-        self._buffer = np.empty(0)
-        # elements in the buffer and elements taken, at the bottom and the top
-        self._used = [0, 0]
-        self._held = [0, 0]
-        self._peak = 0
-
-    def reset(self) -> None:
-        if self._peak > self._buffer.size:
-            self._buffer = _mapped(self._peak)
-        self._used = [0, 0]
-        self._held = [0, 0]
-
-    def free(self) -> None:
-        """Give the buffer back; the next reset allocates it again."""
-        self._buffer = np.empty(0)
-
-    def take(self, shape, dtype=np.float64, top: bool = False) -> np.ndarray:
-        """An uninitialized array; dtype must be 8 bytes wide."""
-        count = math.prod(shape)
-        size = -(-count // 8) * 8  # whole 64-byte lines, as the buffer starts on one
-        self._held[top] += size
-        self._peak = max(self._peak, self._held[0] + self._held[1])
-        if self._used[0] + self._used[1] + size > self._buffer.size:
-            return np.empty(shape, dtype)
-        self._used[top] += size
-        start = self._buffer.size - self._used[1] if top else self._used[0] - size
-        return self._buffer[start : start + count].view(dtype).reshape(shape)
-
-    def mark(self, top: bool = False) -> tuple[int, int]:
-        return self._used[top], self._held[top]
-
-    def release(self, mark: tuple[int, int], top: bool = False) -> None:
-        self._used[top], self._held[top] = mark
 
 
 class _Packing(NamedTuple):
@@ -280,55 +205,42 @@ def _packed_ids(packing: _Packing, seqs: list[list[int]], reverse: bool = False)
     return flat[start[packing.row] + at]
 
 
-def _gate_factors(n: int) -> np.ndarray:
-    """The gates' input scaling: 0.5 for i, f and o, 1 for g.
+def _gate_scaled(U: np.ndarray) -> np.ndarray:
+    """U (..., 4n) times the gates' input scaling a: 0.5 for i, f and o, 1 for g.
 
-    With it, a·tanh(a·z) + (1 - a) is sigmoid(z) = 0.5·(1 + tanh(z/2))
-    where a is 0.5 and tanh(z) where a is 1, so one tanh serves all four
-    gates. Scaling by 0.5 is exact, so it changes no bit.
+    a·tanh(a·z) + (1 - a) is then sigmoid(z) = 0.5·(1 + tanh(z/2)) for i, f
+    and o and tanh(z) for g, so one tanh serves all four gates. Scaling by
+    0.5 is exact, so it changes no bit.
     """
-    a = np.full(4 * n, 0.5)
-    a[2 * n : 3 * n] = 1.0
-    return a
-
-
-def _gate_scaled(Us: list[np.ndarray], ws: Workspace) -> np.ndarray:
-    """Each U (n, 4n) of Us times the gate factors, stacked on axis 0, as
-    _packed_lstm_forward takes them."""
-    n = Us[0].shape[0]
-    a = _gate_factors(n)
-    Ua = ws.take((len(Us), n, 4 * n), top=True)
-    for U, out in zip(Us, Ua):
-        np.multiply(U, a, out=out)
+    n = U.shape[-1] // 4
+    Ua = U * 0.5
+    Ua[..., 2 * n : 3 * n] = U[..., 2 * n : 3 * n]
     return Ua
 
 
-def _packed_lstm_forward(Z, h, c, Ua, packing: _Packing, ws: Workspace):
+def _packed_lstm_forward(Z, h, c, Ua, packing: _Packing):
     """Run an LSTM layer over packed input projections.
 
     Z (..., N, 4n) holds x·W + b for every packed row; leading axes stack
     independent layers that run in lockstep over the same packing, with Ua
-    (..., n, 4n) and the initial h, c (..., B, n) stacked to match. Ua is
-    U already scaled by the gate factors (``_gate_scaled``), so a caller
-    that runs many steps scales it once. Step t adds h·Ua to its k[t] rows
-    of Z and overwrites them with the gate activations (i, f, g, o), one
-    tanh for all four. Returns the trace (Hs, Cs, TC): Hs and
-    Cs (..., B + N, n) hold the initial states, then the state after each
-    packed row, and TC (..., N, n) tanh of each new cell state, which is
-    what backpropagation reads.
+    (..., n, 4n) and the initial h, c (..., B, n) stacked to match. Ua is U
+    already scaled by ``_gate_scaled``, once per caller, not per step. Step
+    t adds h·Ua to its k[t] rows of Z and overwrites them with the gate
+    activations (i, f, g, o), one tanh for all four. Returns the trace (Hs,
+    Cs, TC): Hs and Cs (..., B + N, n) hold the initial states, then the
+    state after each packed row, and TC (..., N, n) tanh of each new cell
+    state, which is what backpropagation reads.
     """
     n = Ua.shape[-2]
     b = h.shape[-2]
-    Hs = ws.take(Z.shape[:-2] + (b + Z.shape[-2], n))
-    Cs = ws.take(Hs.shape)
-    TC = ws.take(Z.shape[:-1] + (n,))
-    scratch = ws.mark(top=True)
-    # the factors are full-shape, as a broadcast row would cost numpy more
-    # per call
-    a = ws.take(h.shape[:-1] + (4 * n,), top=True)
-    a[...] = _gate_factors(n)
-    shift = np.subtract(1.0, a, out=ws.take(a.shape, top=True))
+    # the factors a themselves, full-shape, as a broadcast row would cost
+    # numpy more per call
+    a = _gate_scaled(np.ones(h.shape[:-1] + (4 * n,)))
+    shift = 1.0 - a
     Z *= a[..., :1, :]
+    Hs = np.empty(Z.shape[:-2] + (b + Z.shape[-2], n))
+    Cs = np.empty_like(Hs)
+    TC = np.empty(Z.shape[:-1] + (n,))
     Hs[..., :b, :] = h
     Cs[..., :b, :] = c
     before = 0
@@ -342,11 +254,13 @@ def _packed_lstm_forward(Z, h, c, Ua, packing: _Packing, ws: Workspace):
         c_new = np.multiply(
             z[..., n : 2 * n], Cs[..., before : before + k, :], out=Cs[..., after : after + k, :]
         )
-        tc = TC[..., start : start + k, :]  # holds i·g until it takes tanh(c)
-        c_new += np.multiply(z[..., :n], z[..., 2 * n : 3 * n], out=tc)
-        np.multiply(z[..., 3 * n :], np.tanh(c_new, out=tc), out=Hs[..., after : after + k, :])
+        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
+        np.multiply(
+            z[..., 3 * n :],
+            np.tanh(c_new, out=TC[..., start : start + k, :]),
+            out=Hs[..., after : after + k, :],
+        )
         before = after
-    ws.release(scratch, top=True)
     return Hs, Cs, TC
 
 
@@ -369,10 +283,7 @@ def recurrent_cell(x, h, c, params):
         )
     if h.shape != (n,) or c.shape != (n,):
         raise ShapeError(f"state must have shape ({n},)")
-    ws = Workspace()
-    Hs, Cs, _ = _packed_lstm_forward(
-        x[None] @ W + b, h[None], c[None], _gate_scaled([U], ws)[0], _ONE_STEP, ws
-    )
+    Hs, Cs, _ = _packed_lstm_forward(x[None] @ W + b, h[None], c[None], _gate_scaled(U), _ONE_STEP)
     return Hs[1], Cs[1]
 
 
@@ -387,35 +298,23 @@ def _bridge(p, h_cat, c_cat):
     ]
 
 
-def _embed(p, ids: np.ndarray, ws: Workspace) -> np.ndarray:
-    """The embedding rows of ids. The ids are in range by construction, and
-    mode="clip" writes straight into out, where "raise" would buffer it."""
-    emb = p["embedding"]
-    return np.take(emb, ids, axis=0, out=ws.take(ids.shape + emb.shape[1:]), mode="clip")
-
-
-def _encoder_forward(p, seqs: list[list[int]], pe: _Packing, ws: Workspace):
+def _encoder_forward(p, seqs: list[list[int]], pe: _Packing):
     """Both encoder directions over seqs, packed by pe, as one recurrence.
 
     Direction 1 reads each row backwards. Returns the packed ids (2, N),
-    their embeddings, the gates, the trace, the W of the two directions
-    stacked on axis 0 and their two U: what backpropagation reads.
+    their embeddings, the gates, the trace, and the W and U of the two
+    directions stacked on axis 0: what backpropagation reads.
     """
     ids = np.stack([_packed_ids(pe, seqs), _packed_ids(pe, seqs, reverse=True)])
-    Ws, bs, Us = ([p[f"enc_{d}_{k}"] for d in ("fwd", "bwd")] for k in "WbU")
-    W = np.stack(Ws, out=ws.take((2, *Ws[0].shape)))
-    b = np.stack(bs, out=ws.take((2, *bs[0].shape)))
-    X = _embed(p, ids, ws)
-    Z = np.matmul(X, W, out=ws.take(X.shape[:-1] + W.shape[-1:]))
+    W, U, b = (np.stack([p[f"enc_fwd_{k}"], p[f"enc_bwd_{k}"]]) for k in "WUb")
+    X = p["embedding"][ids]
+    Z = X @ W
     Z += b[:, None, :]
-    zeros = np.zeros((2, len(seqs), Us[0].shape[0]))
-    scratch = ws.mark(top=True)
-    trace = _packed_lstm_forward(Z, zeros, zeros, _gate_scaled(Us, ws), pe, ws)
-    ws.release(scratch, top=True)
-    return ids, X, Z, trace, W, Us
+    zeros = np.zeros((2, len(seqs), U.shape[-2]))
+    return ids, X, Z, _packed_lstm_forward(Z, zeros, zeros, _gate_scaled(U), pe), W, U
 
 
-def _encode_rows(p, seqs: list[list[int]], rows, ws: Workspace):
+def _encode_rows(p, seqs: list[list[int]], rows):
     """Run the encoder over seqs and bridge the final states of batch rows
     ``rows``, in that order.
 
@@ -425,7 +324,7 @@ def _encode_rows(p, seqs: list[list[int]], rows, ws: Workspace):
     backpropagation reads them all, inference only the last.
     """
     pe = _pack([len(s) for s in seqs])
-    run = _encoder_forward(p, seqs, pe, ws)
+    run = _encoder_forward(p, seqs, pe)
     # batch row order[j] is sorted row j, and ends at trace row last[j]
     sel = np.argsort(pe.order)[rows]
     fin = pe.last[sel]
@@ -443,7 +342,7 @@ def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
 def encode(input_ids: list[int], model: Seq2SeqModel):
     """Encode one sequence. Returns (outputs (T,2H), decoder init states)."""
     _check_input_ids(input_ids, model.vocabulary.size())
-    _, _, run, _, init = _encode_rows(model.params, [input_ids], [0], Workspace())
+    _, _, run, _, init = _encode_rows(model.params, [input_ids], [0])
     Hs = run[3][0]
     # trace row t + 1 holds the state after step t, and direction 1's step
     # t reads position T-1-t, so its outputs run reversed
@@ -457,35 +356,29 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _decoder_U(p, ws: Workspace) -> np.ndarray:
+def _decoder_U(p) -> list[np.ndarray]:
     """Both decoder layers' U, scaled for _packed_lstm_forward."""
-    return _gate_scaled([p[f"dec{k}_U"] for k in range(2)], ws)
+    return [_gate_scaled(p[f"dec{k}_U"]) for k in range(2)]
 
 
-def _decoder_forward(p, dec_in: np.ndarray, init, pd: _Packing, Ua, ws: Workspace):
+def _decoder_forward(p, dec_in: np.ndarray, init, pd: _Packing, Ua):
     """The teacher-forced decoder over the packed input ids dec_in.
 
     init holds each layer's initial (h, c) in pd's sorted row order, and
     Ua each layer's U from ``_decoder_U``. Layer 0 never reads layer 1, so
     it runs over all steps first; layer 1's input projection and the logits
-    are then one GEMM each. Returns, for each layer, the workspace mark its
-    arrays start at and its (input, gates, trace), which backpropagation
-    reads, and the logits, which come from the top of the workspace: they
-    are gone before the layers' arrays are.
+    are then one GEMM each. Returns each layer's (input, gates, trace),
+    which backpropagation reads, and the logits.
     """
     runs = []
-    mark = ws.mark()
-    x = _embed(p, dec_in, ws)
+    x = p["embedding"][dec_in]
     for k in range(2):
-        W = p[f"dec{k}_W"]
-        Z = np.matmul(x, W, out=ws.take(x.shape[:-1] + W.shape[-1:]))
+        Z = x @ p[f"dec{k}_W"]
         Z += p[f"dec{k}_b"]
-        trace = _packed_lstm_forward(Z, *init[k], Ua[k], pd, ws)
-        runs.append((mark, x, Z, trace))
+        trace = _packed_lstm_forward(Z, *init[k], Ua[k], pd)
+        runs.append((x, Z, trace))
         x = trace[0][len(pd.order) :]
-        mark = ws.mark()
-    out_W = p["out_W"]
-    logits = np.matmul(x, out_W, out=ws.take(x.shape[:-1] + out_W.shape[-1:], top=True))
+    logits = x @ p["out_W"]
     logits += p["out_b"]
     return runs, logits
 
@@ -498,14 +391,12 @@ def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
     lowest index; SOS/EOS are not part of the returned list.
     """
     state = [(h[None], c[None]) for h, c in state]
-    Ua = _decoder_U(model.params, Workspace())
+    Ua = _decoder_U(model.params)
     out: list[int] = []
     token = SOS
     for _ in range(model.config.max_decode_length):
-        runs, logits = _decoder_forward(
-            model.params, np.array([token]), state, _ONE_STEP, Ua, Workspace()
-        )
-        state = [(Hs[1:], Cs[1:]) for *_, (Hs, Cs, _) in runs]
+        runs, logits = _decoder_forward(model.params, np.array([token]), state, _ONE_STEP, Ua)
+        state = [(Hs[1:], Cs[1:]) for _, _, (Hs, Cs, _) in runs]
         probs = softmax(logits[0])
         assert abs(float(probs.sum()) - 1.0) < 1e-6
         token = int(np.argmax(probs))
@@ -589,11 +480,10 @@ def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
     cap = model.config.max_decode_length
     fed = [[SOS, *t][:cap] for t in targets]
     pd = _pack([len(s) for s in fed])
-    ws = Workspace()
     # only the bridged states outlive the encoder: its trace is freed here
-    init = _encode_rows(model.params, inputs, pd.order, ws)[-1]
-    Ua = _decoder_U(model.params, ws)
-    logits = _decoder_forward(model.params, _packed_ids(pd, fed), init, pd, Ua, ws)[1]
+    init = _encode_rows(model.params, inputs, pd.order)[-1]
+    Ua = _decoder_U(model.params)
+    logits = _decoder_forward(model.params, _packed_ids(pd, fed), init, pd, Ua)[1]
     want = _packed_ids(pd, [[*t, EOS][:cap] for t in targets])
     wrong = np.argmax(softmax(logits), axis=1) != want
     hit = np.empty(len(targets), dtype=bool)

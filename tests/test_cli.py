@@ -356,6 +356,31 @@ def test_negative_seed_exits_one(command, flags, config, corpus_file, tmp_path, 
     assert not out.exists()
 
 
+# 2^40 units ask for a PiB, beyond any address space, so nothing is allocated
+OVERSIZED = str(1 << 40)
+
+
+@pytest.mark.parametrize("flag", ["--hidden-units", "--embedding-dim"])
+def test_train_of_a_model_too_large_for_memory_exits_one(flag, corpus_file, tmp_path, capsys):
+    out = tmp_path / "model.ckpt"
+    assert main(["train", "-i", str(corpus_file), "--release", "1", flag, OVERSIZED,
+                 "--max-steps", "1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a model of embedding_dim "), err
+    assert f"{flag[2:].replace('-', '_')} {OVERSIZED}" in err and "does not fit in memory" in err
+    assert not out.exists()
+
+
+def test_evaluate_of_a_model_too_large_for_memory_fails_its_rows(corpus_file, tmp_path):
+    out = tmp_path / "report.jsonl"
+    assert main(["evaluate", "-i", str(corpus_file), "--hidden-units", OVERSIZED,
+                 "--max-steps", "1", "-o", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["failed"] for r in rows[:-1]] == [True, True]
+    assert all("does not fit in memory" in r["error"] for r in rows[:-1])
+    assert rows[-1]["failed_rows"] == 2
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
 @pytest.mark.parametrize(
     "command, flags",

@@ -189,7 +189,7 @@ def test_encode_reverse_symmetry_with_tied_directions():
 def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
     from test_train_step import _oracle_encode_batch
 
-    from vulnseq.seq2seq.model import Workspace, _encode_rows
+    from vulnseq.seq2seq.model import _encode_rows
 
     model = _tiny_model()
     rng = np.random.default_rng(0)
@@ -205,7 +205,7 @@ def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
             mask[b, : len(row)] = 1.0
         outputs, _, _ = _oracle_encode_batch(model, ids, mask)
         _, oracle, _ = _oracle_encode_batch(model, ids, mask, states_only=True)
-        init = _encode_rows(model.params, rows, np.arange(len(rows)), Workspace())[-1]
+        init = _encode_rows(model.params, rows, np.arange(len(rows)))[-1]
         for b, row in enumerate(rows):
             out, single = encode(row, model)
             assert np.allclose(out, outputs[b, : len(row)], rtol=0, atol=1e-12)

@@ -12,7 +12,10 @@ and embedding scatters. The two sum in a different order, so they agree
 to rounding, not bit for bit.
 """
 
+import ctypes
 import dataclasses
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,18 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnseq.abstraction import AbstractedSequence, SeqRole
+from vulnseq.cli import main
 from vulnseq.pairing import PairKind, TrainingPair
 from vulnseq.seq2seq import (
     ModelConfig,
-    TrainingState,
-    Workspace,
     compute_loss_and_grads,
     init_model,
     train,
-    train_step,
     vocabulary_from_pairs,
 )
-from vulnseq.seq2seq import model as model_module
 from vulnseq.seq2seq.model import Seq2SeqModel
 from vulnseq.seq2seq.vocab import EOS, PAD, SOS
 
@@ -435,71 +435,71 @@ def test_grads_do_not_alias_parameters():
         assert np.array_equal(value, before[key])
 
 
-# ------------------------------------------------------------- workspace
-
-
-def test_one_workspace_gives_the_bytes_of_fresh_arrays_as_batches_grow_and_shrink():
-    batches = [
-        _ragged(0, 4),
-        _ragged(1, 16),
-        BATCHES["batch of 1"](2),
-        _ragged(3, 24),
-        BATCHES["input order reverses target order"](4),
-        _ragged(5, 8),
-        _ragged(6, 32),
-    ]
-    packed = [sum(len(p.input.tokens) + len(p.target.tokens) + 1 for p in b) for b in batches]
-    assert packed[3] > packed[1] > packed[0] > packed[2] and packed[6] > packed[3] > packed[5]
-    model = _model([pair for batch in batches for pair in batch], 32, 0)
-    reused = dataclasses.replace(model, workspace=Workspace())
-    stepped = [
-        dataclasses.replace(model, params=model.copy_params(), workspace=ws)
-        for ws in (Workspace(), None)
-    ]
-    for batch in batches:
-        loss, grads = compute_loss_and_grads(reused, batch)
-        ref_loss, ref_grads = compute_loss_and_grads(model, batch)
-        assert loss == ref_loss
-        assert list(grads) == list(ref_grads)
-        for key, ref in ref_grads.items():
-            assert np.array_equal(grads[key], ref), key
-        for m in stepped:
-            train_step(batch, m, TrainingState())
-    for key, value in stepped[0].params.items():
-        assert np.array_equal(value, stepped[1].params[key]), key
-
-
-def test_grads_of_a_call_without_a_workspace_outlive_later_calls():
+def test_grads_of_a_call_outlive_later_calls():
     batch = _ragged(0)
     model = _model(batch, 32, 0)
     _, grads = compute_loss_and_grads(model, batch)
     kept = {key: g.copy() for key, g in grads.items()}
-    reused = dataclasses.replace(model, workspace=Workspace())
     for other in (_ragged(1), batch, _ragged(2, 32)):
-        compute_loss_and_grads(reused, other)
         compute_loss_and_grads(model, other)
     for key, g in grads.items():
         assert np.array_equal(g, kept[key]), key
 
 
-def test_a_train_call_resizes_its_workspace_a_few_times_not_once_per_step(monkeypatch):
-    sizes = []
-    mapped = model_module._mapped
+# ------------------------------------------------------------- allocator
 
-    def spy(size):
-        sizes.append(size)
-        return mapped(size)
 
-    monkeypatch.setattr(model_module, "_mapped", spy)
-    # batches of 4 among inputs of 1 to 50 tokens: packed sizes vary a lot
-    cfg = ModelConfig(
-        embedding_dim=8, hidden_units=8, batch_size=4, iteration_steps=200, max_steps=200
-    )
-    state = TrainingState()
-    model = train(_ragged(0, 48), [], cfg, state)
-    assert state.step == 200 and model.workspace is None
-    assert 1 <= len(sizes) <= 5, sizes
-    assert sizes == sorted(set(sizes)), "a resize only ever grows the buffer"
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_warmed_train_call_takes_few_page_faults():
+    import resource
+
+    pairs = _ragged(0, 48)
+    cfg = ModelConfig(iteration_steps=30, max_steps=30)
+    train(pairs, [], cfg)  # the heap grows to what a step needs
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(pairs, [], cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # freed step arrays handed back to the system fault in again on the
+    # next step, about 800 times a step
+    assert faults < 1000, faults
+
+
+# the CLI, with the C library's mallopt out of reach when argv[1] is "refuse"
+_CLI = """
+import ctypes, sys
+from vulnseq.cli import main
+if sys.argv[1] == "refuse":
+    def refuse(*args, **kwargs):
+        print("mallopt lookup refused", file=sys.stderr)
+        raise OSError("no C library")
+    ctypes.CDLL = refuse
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_train_without_mallopt_saves_the_same_bytes(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "3", "--components", "6", "-o", str(corpus)]) == 0
+    saved = []
+    # a fresh process for each: the setting outlives the train() call
+    for mode in ("refuse", "allow"):
+        ckpt = tmp_path / f"{mode}.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI, mode, "train", "-i", str(corpus), "--release", "1",
+             "--max-steps", "30", "-o", str(ckpt)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("mallopt lookup refused" in proc.stderr) == (mode == "refuse")
+        saved.append(ckpt.read_bytes())
+    assert saved[0] == saved[1]
 
 
 # ---------------------------------------------------------------- memory
