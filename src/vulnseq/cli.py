@@ -62,16 +62,8 @@ _PROFILES: dict[str, dict[str, object]] = {
     },
 }
 
-_MODEL_FLAG_FIELDS = (
-    "embedding_dim",
-    "hidden_units",
-    "learning_rate",
-    "batch_size",
-    "clip_norm",
-    "iteration_steps",
-    "max_steps",
-    "min_count",
-)
+# every model setting has a flag but the seed, which --seed shares with pairing
+_MODEL_FLAG_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "seed")
 
 _SETTINGS = {"clean": Setting.CLEAN, "realistic": Setting.REALISTIC}
 
@@ -133,11 +125,6 @@ def _load_model(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-_INT_MODEL_FIELDS = {
-    f.name for f in fields(ModelConfig) if f.type in ("int", int)
-}
-
-
 def _load_config_file(path: str) -> dict:
     raw = _read_text(path)
     try:
@@ -152,25 +139,16 @@ def _load_config_file(path: str) -> dict:
     model_section = data.get("model", {})
     if not isinstance(model_section, dict):
         raise ConfigError("config key 'model' must hold an object")
-    allowed = {name for name in _MODEL_FLAG_FIELDS}
-    for key, value in model_section.items():
+    allowed = {f.name for f in _MODEL_FLAG_FIELDS}
+    for key in model_section:
         if key not in allowed:
             raise ConfigError(f"unknown model config key: {key}")
-        if key in _INT_MODEL_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"model config key {key} must be an integer")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"model config key {key} must be a number")
     pairing_section = data.get("pairing", {})
     if not isinstance(pairing_section, dict):
         raise ConfigError("config key 'pairing' must hold an object")
-    for key, value in pairing_section.items():
+    for key in pairing_section:
         if key != "non_vuln_ratio":
             raise ConfigError(f"unknown pairing config key: {key}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"pairing config key {key} must be a number")
-    if "seed" in data and (not isinstance(data["seed"], int) or isinstance(data["seed"], bool)):
-        raise ConfigError("config key 'seed' must be an integer")
     if "profile" in data and not (
         isinstance(data["profile"], str) and data["profile"] in _PROFILES
     ):
@@ -179,23 +157,22 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, optional config file, and profile defaults."""
-    data = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    profile = getattr(args, "profile", None) or data.get("profile", "desk")
-    if profile not in _PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}")
+    """Merge flags, optional config file, and profile defaults; the
+    configs check the values' types."""
+    data = _load_config_file(args.config) if args.config else {}
+    profile = args.profile or data.get("profile", "desk")
     seed = args.seed if args.seed is not None else data.get("seed", 0)
     values = dict(_PROFILES[profile])
     values.update(data.get("model", {}))
     for field in _MODEL_FLAG_FIELDS:
-        flag_value = getattr(args, field, None)
+        flag_value = getattr(args, field.name)
         if flag_value is not None:
-            values[field] = flag_value
+            values[field.name] = flag_value
     model = ModelConfig(seed=seed, **values)
-    ratio = getattr(args, "ratio", None)
+    ratio = args.ratio
     if ratio is None:
         ratio = data.get("pairing", {}).get("non_vuln_ratio", 5.0)
-    pairing = PairingConfig(non_vuln_ratio=float(ratio), seed=seed)
+    pairing = PairingConfig(non_vuln_ratio=ratio, seed=seed)
     return RunConfig(seed=seed, profile=profile, model=model, pairing=pairing)
 
 
@@ -401,14 +378,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         help="echo pairs sampled per fix pair (default: 5.0)",
     )
     for field in _MODEL_FLAG_FIELDS:
-        flag = "--" + field.replace("_", "-")
-        kind = int if field in _INT_MODEL_FIELDS else float
         p.add_argument(
-            flag,
-            dest=field,
-            type=kind,
+            "--" + field.name.replace("_", "-"),
+            dest=field.name,
+            type=float if field.type == "float" else int,
             default=None,
-            help=f"override the profile's {field}",
+            help=f"override the profile's {field.name}",
         )
 
 

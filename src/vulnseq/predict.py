@@ -15,8 +15,8 @@ counts as unchanged when the argmax at every step is the next chunk token
 and the step after the last token gives EOS. Greedy decoding feeds its
 own argmax back, so this holds exactly when
 ``decode_greedy(encode(chunk))`` returns the chunk; chunks hold at most
-50 tokens and ``max_decode_length`` is at least 52, so the cap never
-cuts a chunk short.
+50 tokens and the decode cap is the constant 64, so it never cuts a chunk
+short.
 """
 
 from __future__ import annotations

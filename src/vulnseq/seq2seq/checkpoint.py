@@ -2,13 +2,13 @@
 
 Layout: magic, format version, canonical-JSON config, vocabulary table,
 parameter tensors as little-endian float64 in declared order, and a
-trailing sha256 over everything before it. The v1 config also stores the
-layer counts, which the architecture fixes at 1 (encoder) and 2
-(decoder). A bad digest, truncation, or text that is not UTF-8 or JSON
-is corruption; a digest-valid file whose config ``ModelConfig`` rejects
-or stores other layer counts, whose vocabulary holds a token twice, or
-whose config, vocabulary and tensor shapes disagree is a version
-problem.
+trailing sha256 over everything before it. The v1 config also stores
+three values the model fixes: the layer counts, 1 (encoder) and 2
+(decoder), and the decode cap, 64. A bad digest, truncation, or text that
+is not UTF-8 or JSON is corruption; a digest-valid file whose config
+``ModelConfig`` rejects or stores other fixed values, whose vocabulary
+holds a token twice, or whose config, vocabulary and tensor shapes
+disagree is a version problem.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ import hashlib
 import json
 import math
 import struct
-import typing
 
 import numpy as np
 
 from ..errors import ConfigError, CorruptCheckpoint, ShapeError, VersionError
 from ..fileio import atomic_write_bytes
-from .model import ModelConfig, Seq2SeqModel, parameter_shapes
+from .model import MAX_DECODE_LENGTH, ModelConfig, Seq2SeqModel, parameter_shapes
 from .vocab import RESERVED_TOKENS, Vocabulary
 
 MAGIC = b"VSQM"
 FORMAT_VERSION = 1
-# v1 stores the layer counts the architecture fixes
-_FIXED_LAYERS = {"encoder_layers": 1, "decoder_layers": 2}
+# v1 stores the values the model fixes
+_FIXED = {"encoder_layers": 1, "decoder_layers": 2, "max_decode_length": MAX_DECODE_LENGTH}
 
 
 def _pack_str(s: str) -> bytes:
@@ -63,7 +62,7 @@ class _Reader:
 def save_model(model: Seq2SeqModel, path: str) -> None:
     chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     config_json = json.dumps(
-        dataclasses.asdict(model.config) | _FIXED_LAYERS, sort_keys=True, separators=(",", ":")
+        dataclasses.asdict(model.config) | _FIXED, sort_keys=True, separators=(",", ":")
     )
     chunks.append(_pack_str(config_json))
     vocab = model.vocabulary.index_to_token
@@ -87,19 +86,13 @@ def _config(text: str) -> ModelConfig:
         fields = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptCheckpoint(f"config is not valid JSON: {exc}") from None
-    types = typing.get_type_hints(ModelConfig)
-    if not isinstance(fields, dict) or set(fields) != set(types) | set(_FIXED_LAYERS):
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    if not isinstance(fields, dict) or set(fields) != names | set(_FIXED):
         raise VersionError("checkpoint config schema does not match")
-    for name, fixed in _FIXED_LAYERS.items():
+    for name, fixed in _FIXED.items():
         value = fields.pop(name)
         if type(value) is not int or value != fixed:
             raise VersionError(f"checkpoint config {name} must be {fixed}, got {value!r}")
-    for name, kind in types.items():
-        value = fields[name]
-        # bool is an int subclass, and a float field may hold an int
-        allowed = (int, float) if kind is float else (kind,)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise VersionError(f"checkpoint config {name} must be {kind.__name__}, got {value!r}")
     try:
         return ModelConfig(**fields)
     except ConfigError as exc:

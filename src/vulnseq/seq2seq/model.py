@@ -22,7 +22,10 @@ recurrence. A single step, as ``recurrent_cell`` and ``decode_greedy``
 take them, is a packing of one row of length 1. ``_encode_rows``, the one
 encoder assembly of training, ``encode`` and the identity check, bridges
 the final states in the caller's decoder order. A ``ModelConfig`` checks
-its values and a ``Seq2SeqModel`` its parameter shapes once, when built.
+its field types and values and a ``Seq2SeqModel`` its parameter shapes
+once, when built. Greedy decoding stops after ``MAX_DECODE_LENGTH`` (64)
+tokens, a constant: chunks hold at most 50 tokens, so it never cuts one
+short.
 
 Every call allocates its arrays afresh. ``train()`` sets ``mallopt`` so
 that the C heap keeps what a step frees for the next, saving about 800
@@ -38,7 +41,7 @@ that verdict to every row that holds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -49,11 +52,20 @@ from ..errors import ConfigError, NumericalError, ShapeError
 from .vocab import EOS, SOS, Vocabulary
 
 
+# Greedy decoding emits at most this many tokens before EOS.
+MAX_DECODE_LENGTH = 64
+
+
 @dataclass(frozen=True)
 class ModelConfig:
+    """The model's settings, the one place that knows their names and types.
+
+    Each field must hold its annotated type, never a bool; a float field
+    also takes an int, stored as a float.
+    """
+
     embedding_dim: int = 32
     hidden_units: int = 32
-    max_decode_length: int = 64
     learning_rate: float = 0.05
     batch_size: int = 16
     clip_norm: float = 5.0
@@ -63,13 +75,23 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type == "float" else int
+            # bool is an int subclass
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float":
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{f.name} is too large for a float") from None
         for name in ("learning_rate", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         positive = {
             "embedding_dim": self.embedding_dim,
             "hidden_units": self.hidden_units,
-            "max_decode_length": self.max_decode_length,
             "learning_rate": self.learning_rate,
             "batch_size": self.batch_size,
             "clip_norm": self.clip_norm,
@@ -81,8 +103,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
-        if self.max_decode_length < 52:
-            raise ConfigError("max_decode_length must be >= 52")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
 
@@ -384,7 +404,7 @@ def _decoder_forward(p, dec_in: np.ndarray, init, pd: _Packing, Ua):
 
 
 def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
-    """Emit argmax tokens until EOS or the configured cap.
+    """Emit argmax tokens until EOS or ``MAX_DECODE_LENGTH`` of them.
 
     Each step is a one-row, one-step run of the teacher-forced decoder,
     with the decoder's U scaled once per call. Ties break toward the
@@ -394,7 +414,7 @@ def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
     Ua = _decoder_U(model.params)
     out: list[int] = []
     token = SOS
-    for _ in range(model.config.max_decode_length):
+    for _ in range(MAX_DECODE_LENGTH):
         runs, logits = _decoder_forward(model.params, np.array([token]), state, _ONE_STEP, Ua)
         state = [(Hs[1:], Cs[1:]) for _, _, (Hs, Cs, _) in runs]
         probs = softmax(logits[0])
@@ -423,7 +443,7 @@ def greedy_reproduces(
     batches and the decoder runs once per batch, teacher-forced on
     ``[SOS] + target``. Greedy decoding feeds back its own argmax, so it
     emits exactly a target of length L when the argmax at every step
-    t < L is ``target[t]`` and, unless L reaches ``max_decode_length``,
+    t < L is ``target[t]`` and, unless L reaches ``MAX_DECODE_LENGTH``,
     the argmax at step L is EOS. A target longer than the cap, or holding
     EOS or an id outside the vocabulary, can never come out. Inputs are
     checked as ``encode`` checks them.
@@ -449,7 +469,7 @@ def greedy_reproduces(
     v = model.vocabulary.size()
     for input_ids, _ in keys:
         _check_input_ids(input_ids, v)
-    cap = model.config.max_decode_length
+    cap = MAX_DECODE_LENGTH
     hits = [False] * len(keys)
     todo = [
         j
@@ -477,7 +497,7 @@ def greedy_reproduces(
 def _reproduces_block(model: Seq2SeqModel, inputs, targets) -> list[bool]:
     # greedy decoding is fed [SOS] + target and must emit target + [EOS],
     # but it stops after cap steps, so a target of cap ids needs no EOS
-    cap = model.config.max_decode_length
+    cap = MAX_DECODE_LENGTH
     fed = [[SOS, *t][:cap] for t in targets]
     pd = _pack([len(s) for s in fed])
     # only the bridged states outlive the encoder: its trace is freed here

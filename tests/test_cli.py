@@ -175,11 +175,24 @@ def test_bad_config_file_is_a_usage_error(corpus_file, tmp_path, capsys):
                  "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
     assert code == 1
 
-    cfg.write_text(json.dumps({"pairing": {"non_vuln_ratio": "5"}}))
-    code = main(["train", "-i", str(corpus_file), "--release", "0",
-                 "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
-    assert code == 1
-    assert "non_vuln_ratio must be a number" in capsys.readouterr().err
+    # a wrong type, or an int too large for a float field, exits 1 with
+    # the message of the config that owns the field
+    for config, message in [
+        ({"pairing": {"non_vuln_ratio": "5"}}, "non_vuln_ratio must be a number, got '5'"),
+        ({"pairing": {"non_vuln_ratio": 10**400}}, "non_vuln_ratio is too large for a float"),
+        ({"model": {"learning_rate": 10**400}}, "learning_rate is too large for a float"),
+        ({"model": {"clip_norm": 10**400}}, "clip_norm is too large for a float"),
+        ({"model": {"hidden_units": "32"}}, "hidden_units must be int, got '32'"),
+        ({"model": {"max_steps": 1.0}}, "max_steps must be int, got 1.0"),
+        ({"model": {"clip_norm": True}}, "clip_norm must be float, got True"),
+        ({"seed": "1"}, "seed must be int, got '1'"),
+    ]:
+        cfg.write_text(json.dumps(config))
+        code = main(["train", "-i", str(corpus_file), "--release", "0",
+                     "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
+        assert code == 1, config
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     # an unhashable profile is reported, not a failed membership test
     for profile in ([], {}):
@@ -433,13 +446,14 @@ def _set(name, value):
         (lambda raw: raw.replace(b'{"', b"{", 1), "config is not valid JSON"),
         (lambda raw: raw.replace(b"seed", b"s\xffed"), "not valid UTF-8"),
         (lambda raw: b"0", "config schema does not match"),
-        (_set("max_decode_length", 10), "max_decode_length must be >= 52"),
+        (_set("max_decode_length", 10), "max_decode_length must be 64, got 10"),
         (_set("hidden_units", "32"), "hidden_units must be int, got '32'"),
         (_set("seed", True), "seed must be int, got True"),
         (_set("learning_rate", "1.0"), "learning_rate must be float"),
+        (_set("learning_rate", 10**400), "learning_rate is too large for a float"),
     ],
     ids=["not-json", "not-utf8", "not-object", "short-decode-cap", "string-int",
-         "bool-int", "string-float"],
+         "bool-int", "string-float", "huge-int-float"],
 )
 def test_checkpoint_with_a_bad_config_exits_one(edit, message, corpus_file, tmp_path, capsys):
     ckpt, out = tmp_path / "bad.ckpt", tmp_path / "verdicts.jsonl"
@@ -501,9 +515,26 @@ def test_checkpoint_shape_too_large_to_count_exits_one(corpus_file, tmp_path, ca
 
 
 def test_checkpoint_config_may_hold_an_int_for_a_float(tmp_path):
-    ckpt = tmp_path / "int-rate.ckpt"
+    ckpt, resaved = tmp_path / "int-rate.ckpt", tmp_path / "resaved.ckpt"
     ckpt.write_bytes(_with_config(_set("learning_rate", 1)))
-    assert load_model(str(ckpt)).config.learning_rate == 1
+    model = load_model(str(ckpt))
+    assert model.config.learning_rate == 1.0 and type(model.config.learning_rate) is float
+    # it resaves with the float spelling, the desk checkpoint's own bytes
+    save_model(model, str(resaved))
+    assert resaved.read_bytes() == DESK_CKPT.read_bytes()
+
+
+def test_config_file_and_flags_write_the_same_checkpoint(corpus_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"hidden_units": 8, "learning_rate": 1, "clip_norm": 5,
+                                         "iteration_steps": 4, "max_steps": 4}}))
+    from_file, from_flags = tmp_path / "file.ckpt", tmp_path / "flags.ckpt"
+    assert main(["train", "-i", str(corpus_file), "--release", "1", "--config", str(cfg),
+                 "-o", str(from_file)]) == 0
+    assert main(["train", "-i", str(corpus_file), "--release", "1", "--hidden-units", "8",
+                 "--learning-rate", "1", "--clip-norm", "5", "--iteration-steps", "4",
+                 "--max-steps", "4", "-o", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
 
 
 # The fourth release falls 2,914,715 days before date.max, and a lag L is

@@ -1,11 +1,14 @@
 """The batched identity check against its oracle, greedy decoding.
 
-``greedy_reproduces`` must answer exactly what
-``decode_greedy(encode(input)) == target`` answers, row by row. The
-models are the converged desk checkpoint stored with the benchmark, two
-copies of it with seeded Gaussian noise added to every parameter, and an
-untrained model; on two synthetic corpora they give both answers, with
-anything from all to none of the rows reproduced.
+``greedy_reproduces`` must answer exactly what greedy decoding, a token
+at a time, answers for ``decode == target``, row by row. The oracle is
+``padded_oracle.greedy_decode``, which shares no code with the packed
+runner that both ``greedy_reproduces`` and ``decode_greedy`` use, so a
+fault in that runner cannot pass by agreeing with itself. The models are
+the converged desk checkpoint stored with the benchmark, two copies of it
+with seeded Gaussian noise added to every parameter, and an untrained
+model; on two synthetic corpora they give both answers, with anything
+from all to none of the rows reproduced.
 """
 
 import dataclasses
@@ -35,8 +38,10 @@ from vulnseq.seq2seq import (
     load_model,
     vocabulary_from_pairs,
 )
-from vulnseq.seq2seq.model import Seq2SeqModel
+from vulnseq.seq2seq.model import MAX_DECODE_LENGTH, Seq2SeqModel
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
+
+from padded_oracle import greedy_decode
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ckpt"
 CORPUS_SEEDS = (3, 11)
@@ -46,7 +51,7 @@ SMALL = ModelConfig(embedding_dim=4, hidden_units=4, seed=0)
 
 
 def _oracle(model, inputs, targets):
-    return [decode_greedy(encode(i, model)[1], model) == t for i, t in zip(inputs, targets)]
+    return [greedy_decode(model, i) == t for i, t in zip(inputs, targets)]
 
 
 def _rows(component, vocab):
@@ -106,6 +111,14 @@ def test_predict_rows_match_greedy_decoding(cases):
             assert verdict.total_sequences == len(rows)
             seen.update(kept)
     assert seen == {True, False}
+
+
+def test_decode_greedy_matches_the_oracle(cases):
+    for corpus_seed, model_name, model, release, _ in cases:
+        rows = [r[2] for c in release.components for r in _rows(c, model.vocabulary)]
+        for ids in rows[:20]:
+            got = decode_greedy(encode(ids, model)[1], model)
+            assert got == greedy_decode(model, ids), (corpus_seed, model_name, ids)
 
 
 # the default, and a limit of a few rows per block at the desk width
@@ -222,7 +235,7 @@ def test_targets_holding_eos_count_as_modified():
 
 def test_length_cap_matches_greedy_decoding():
     model = _forced(4)
-    cap = model.config.max_decode_length
+    cap = MAX_DECODE_LENGTH
     lengths = (cap - 1, cap, cap + 1)
     inputs = [[4] * n for n in lengths]
     expected = _oracle(model, inputs, inputs)
@@ -234,7 +247,7 @@ def test_all_equal_logits_break_ties_like_greedy_decoding():
     model = _forced(4)
     for name in model.params:
         model.params[name][:] = 0.0
-    cap = model.config.max_decode_length
+    cap = MAX_DECODE_LENGTH
     inputs = [[4], [PAD] * cap, [PAD] * (cap - 1)]
     targets = [[PAD] * cap, [PAD] * cap, [PAD] * (cap - 1)]
     expected = _oracle(model, inputs, targets)
@@ -273,7 +286,7 @@ def test_mixed_blocks_match_greedy_decoding(noised, data):
             if data.draw(st.booleans()):
                 target = row
             else:
-                target = data.draw(st.lists(ids, max_size=model.config.max_decode_length))
+                target = data.draw(st.lists(ids, max_size=MAX_DECODE_LENGTH))
             inputs.append(row)
             targets.append(target)
         assert greedy_reproduces(model, inputs, targets) == _oracle(model, inputs, targets)

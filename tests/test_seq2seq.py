@@ -40,7 +40,7 @@ from vulnseq.seq2seq import (
     train_step,
     vocabulary_from_pairs,
 )
-from vulnseq.seq2seq.model import parameter_shapes
+from vulnseq.seq2seq.model import MAX_DECODE_LENGTH, parameter_shapes
 from vulnseq.seq2seq.vocab import Vocabulary
 
 
@@ -187,7 +187,7 @@ def test_encode_reverse_symmetry_with_tied_directions():
 
 
 def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
-    from test_train_step import _oracle_encode_batch
+    from padded_oracle import encode_batch
 
     from vulnseq.seq2seq.model import _encode_rows
 
@@ -203,8 +203,8 @@ def test_packed_batch_encoder_matches_single_encode_and_the_padded_oracle():
         for b, row in enumerate(rows):
             ids[b, : len(row)] = row
             mask[b, : len(row)] = 1.0
-        outputs, _, _ = _oracle_encode_batch(model, ids, mask)
-        _, oracle, _ = _oracle_encode_batch(model, ids, mask, states_only=True)
+        outputs, _, _ = encode_batch(model, ids, mask)
+        _, oracle, _ = encode_batch(model, ids, mask, states_only=True)
         init = _encode_rows(model.params, rows, np.arange(len(rows)))[-1]
         for b, row in enumerate(rows):
             out, single = encode(row, model)
@@ -239,7 +239,7 @@ def test_decode_respects_length_cap():
     model.params["out_b"][4] = 100.0  # never EOS
     _, init = encode([4, 5], model)
     out = decode_greedy(init, model)
-    assert len(out) == model.config.max_decode_length
+    assert len(out) == MAX_DECODE_LENGTH
     assert set(out) == {4}
 
 
@@ -250,7 +250,7 @@ def test_decode_tie_breaks_to_lowest_index():
     _, init = encode([4], model)
     out = decode_greedy(init, model)
     # all logits equal: argmax picks index 0 (PAD), never reaching EOS
-    assert out == [PAD] * model.config.max_decode_length
+    assert out == [PAD] * MAX_DECODE_LENGTH
 
 
 # ------------------------------------------------------ loss and gradients
@@ -468,11 +468,17 @@ def test_training_copies_parameters_only_when_a_rollback_can_follow(monkeypatch)
 
 def test_validation_config_invariants():
     bad = [
-        ({"max_decode_length": 51}, "max_decode_length must be >= 52"),
         ({"hidden_units": 0}, "hidden_units must be positive"),
         ({"learning_rate": -0.1}, "learning_rate must be positive"),
         ({"max_steps": -1}, "max_steps must be >= 0"),
         ({"seed": -2}, "seed must be non-negative"),
+        ({"hidden_units": "32"}, "hidden_units must be int, got '32'"),
+        ({"batch_size": 16.0}, "batch_size must be int, got 16.0"),
+        ({"seed": True}, "seed must be int, got True"),
+        ({"clip_norm": False}, "clip_norm must be float, got False"),
+        ({"learning_rate": "1.0"}, "learning_rate must be float, got '1.0'"),
+        ({"learning_rate": 10**400}, "learning_rate is too large for a float"),
+        ({"clip_norm": -(10**400)}, "clip_norm is too large for a float"),
     ] + [
         ({name: value}, f"{name} must be finite")
         for name in ("learning_rate", "clip_norm")
@@ -483,7 +489,11 @@ def test_validation_config_invariants():
             ModelConfig(**values)
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(TINY, **values)
-    assert len(dataclasses.fields(ModelConfig)) == 10
+    assert len(dataclasses.fields(ModelConfig)) == 9
+    # an int given for a float field is stored as a float
+    cfg = ModelConfig(learning_rate=1, clip_norm=5)
+    assert type(cfg.learning_rate) is float and type(cfg.clip_norm) is float
+    assert cfg == ModelConfig(learning_rate=1.0, clip_norm=5.0)
 
 
 def test_model_rejects_missing_extra_or_misshaped_parameters():

@@ -5,11 +5,12 @@ sorted longest first, so no array holds padding; it hoists every layer's
 input projection out of its time loop, stacks the two encoder directions
 and defers the weight gradients to one GEMM per layer. The oracle below
 is an earlier implementation, kept verbatim apart from its padded-batch
-builder ``_arrays``: it runs right-padded, masked (B, T) batches in batch
-order, one ``_lstm_step`` per layer and timestep, with the piecewise
-sigmoid, a per-step backprop cache, and per-step weight-gradient GEMMs
-and embedding scatters. The two sum in a different order, so they agree
-to rounding, not bit for bit.
+builder ``_arrays``; its forward steps, ``lstm_step`` and
+``encode_batch``, live in ``padded_oracle``. It runs right-padded, masked
+(B, T) batches in batch order, one ``lstm_step`` per layer and timestep,
+with the piecewise sigmoid, a per-step backprop cache, and per-step
+weight-gradient GEMMs and embedding scatters. The two sum in a different
+order, so they agree to rounding, not bit for bit.
 """
 
 import ctypes
@@ -36,6 +37,8 @@ from vulnseq.seq2seq import (
 from vulnseq.seq2seq.model import Seq2SeqModel
 from vulnseq.seq2seq.vocab import EOS, PAD, SOS
 
+from padded_oracle import encode_batch, lstm_step
+
 # ---------------------------------------------------------------- oracle
 
 
@@ -60,86 +63,6 @@ def _arrays(batch: list[TrainingPair], vocab):
         dec_tgt[b, len(t)] = EOS
         dec_mask[b, : len(t) + 1] = 1.0
     return enc_ids, enc_mask, dec_in, dec_tgt, dec_mask
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _lstm_step(x, h, c, W, U, b):
-    """One batched step. Returns (h', c', gate cache for backprop)."""
-    n = W.shape[1] // 4
-    z = x @ W + h @ U + b
-    i = _sigmoid(z[:, :n])
-    f = _sigmoid(z[:, n : 2 * n])
-    g = np.tanh(z[:, 2 * n : 3 * n])
-    o = _sigmoid(z[:, 3 * n :])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new, (i, f, g, o)
-
-
-def _oracle_encode_batch(
-    model: Seq2SeqModel, ids: np.ndarray, mask: np.ndarray, states_only: bool = False
-):
-    """Run the bidirectional encoder over a right-padded id batch.
-
-    Masked positions keep the previous state, so trailing padding never
-    leaks into the final states. Returns outputs (B,T,2H), the bridged
-    decoder initial states, and the cache needed for backprop; with
-    states_only the outputs and the cache are None.
-    """
-    p = model.params
-    B, T = ids.shape
-    H = model.config.hidden_units
-    X = p["embedding"][ids]  # (B,T,D)
-
-    states = {}
-    caches = {"fwd": [], "bwd": []}
-    outputs = None if states_only else np.zeros((B, T, 2 * H))
-    for direction, order in (("fwd", range(T)), ("bwd", range(T - 1, -1, -1))):
-        W, U, b = p[f"enc_{direction}_W"], p[f"enc_{direction}_U"], p[f"enc_{direction}_b"]
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        for t in order:
-            m = mask[:, t : t + 1]
-            h_new, c_new, gates = _lstm_step(X[:, t], h, c, W, U, b)
-            if not states_only:
-                caches[direction].append((t, X[:, t], h, c, gates, c_new, m))
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-            if not states_only:
-                half = slice(0, H) if direction == "fwd" else slice(H, 2 * H)
-                outputs[:, t, half] = h
-        states[direction] = (h, c)
-
-    h_cat = np.concatenate([states["fwd"][0], states["bwd"][0]], axis=1)
-    c_cat = np.concatenate([states["fwd"][1], states["bwd"][1]], axis=1)
-    init = []
-    bridge_cache = []
-    for layer in range(2):
-        h0 = np.tanh(h_cat @ p[f"bridge_h{layer}_W"] + p[f"bridge_h{layer}_b"])
-        c0 = np.tanh(c_cat @ p[f"bridge_c{layer}_W"] + p[f"bridge_c{layer}_b"])
-        init.append((h0, c0))
-        bridge_cache.append((h0, c0))
-    if states_only:
-        return None, init, None
-    cache = {
-        "ids": ids,
-        "mask": mask,
-        "X": X,
-        "steps": caches,
-        "h_cat": h_cat,
-        "c_cat": c_cat,
-        "bridge": bridge_cache,
-    }
-    return outputs, init, cache
 
 
 def _cell_backward(x, h_prev, c_prev, gates, c_new, dh, dc, W, U):
@@ -171,7 +94,7 @@ def oracle_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     n, t_out = dec_in.shape
     h_units = model.config.hidden_units
 
-    _, init, enc_cache = _oracle_encode_batch(model, enc_ids, enc_mask)
+    _, init, enc_cache = encode_batch(model, enc_ids, enc_mask)
 
     # ---- decoder forward (teacher forcing), caching per step
     dec_caches = []
@@ -180,8 +103,8 @@ def oracle_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     X_dec = p["embedding"][dec_in]
     for t in range(t_out):
         x0 = X_dec[:, t]
-        h0n, c0n, g0 = _lstm_step(x0, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
-        h1n, c1n, g1 = _lstm_step(h0n, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
+        h0n, c0n, g0 = lstm_step(x0, h0, c0, p["dec0_W"], p["dec0_U"], p["dec0_b"])
+        h1n, c1n, g1 = lstm_step(h0n, h1, c1, p["dec1_W"], p["dec1_U"], p["dec1_b"])
         logits[:, t] = h1n @ p["out_W"] + p["out_b"]
         dec_caches.append((x0, h0, c0, g0, c0n, h0n, h1, c1, g1, c1n, h1n))
         h0, c0, h1, c1 = h0n, c0n, h1n, c1n
