@@ -129,7 +129,7 @@ def _load_config_file(path: str) -> dict:
     raw = _read_text(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

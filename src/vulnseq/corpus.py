@@ -179,8 +179,8 @@ def load_corpus(path: str) -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", line_no) from None
+            except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+                raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}", line_no) from None
             if not isinstance(record, dict):
                 raise ParseError("record is not an object", line_no)
             kind = _require(record, "kind", line_no)

@@ -84,7 +84,7 @@ def _config(text: str) -> ModelConfig:
     """The stored config, checked as strictly as one built in code."""
     try:
         fields = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise CorruptCheckpoint(f"config is not valid JSON: {exc}") from None
     names = {f.name for f in dataclasses.fields(ModelConfig)}
     if not isinstance(fields, dict) or set(fields) != names | set(_FIXED):

@@ -10,6 +10,22 @@ A training step runs the packed, time-major layout described in
 ``model`` (``_Packing``), the one that inference runs too, and
 backpropagates through it without touching padding.
 
+Abstraction makes training pairs repeat, so a batch often holds a pair
+more than once. A step runs each distinct pair once through everything
+that works row by row: the encoder, the decoder, the softmax, the
+backward recurrences and the input-gradient products. Before each sum
+over rows (the loss, every weight and bias gradient, the embedding
+scatter) it gathers those rows back into the packed order of the whole
+batch, so each sum adds the same numbers in the same order as a step
+over every copy. NumPy sends a one-row product to GEMV, whose bits differ
+from GEMM's, so the step keeps a second copy of a repeated pair whose
+input or target is the batch's one longest; otherwise the last steps of
+that row would multiply one row where the whole batch multiplies two.
+With OpenBLAS's AVX-512 kernels at desk width, the bits then equal those
+of a step over every copy; AVX2 kernels, whose GEMM rows depend on the
+row count, and small products with a transposed operand agree only to
+rounding.
+
 A step allocates its arrays afresh, much as large as the last step's.
 By default glibc gives each large one its own mapping and hands memory
 freed at the top of its heap back to the system, so each step faulted
@@ -128,18 +144,69 @@ def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
     return dh, dc
 
 
-def _layer_grads(X, trace, dZ, W, packing: _Packing):
+def _full(a, idx, axis=-2):
+    """Rows idx of a along axis, or a itself when idx is None."""
+    return a if idx is None else np.take(a, idx, axis=axis)
+
+
+def _layer_grads(X, trace, dZ, W, packing: _Packing, idx=None):
     """dW, dU, db and the input gradient of a layer, one GEMM or sum each.
 
     X is the layer's packed input, trace its _packed_lstm_forward trace
     and dZ the per-row pre-activation gradients left by
-    _packed_lstm_backward. The states before each row, which dU pairs with
-    dZ, are one gather.
+    _packed_lstm_backward. The input gradient is per row, so it is formed
+    on the rows that ran; the three sums over rows read them in the full
+    batch's packed order, rows idx of the run (see _full_rows). The states
+    before each row, which dU pairs with dZ, are one gather.
     """
-    H_in = trace[0][..., packing.prev, :]
-    dW = np.swapaxes(X, -1, -2) @ dZ
+    dX = dZ @ np.swapaxes(W, -1, -2)
+    dZ = _full(dZ, idx)
+    dW = np.swapaxes(_full(X, idx), -1, -2) @ dZ
+    H_in = trace[0][..., packing.prev if idx is None else packing.prev[idx], :]
     dU = np.swapaxes(H_in, -1, -2) @ dZ
-    return dW, dU, dZ.sum(axis=-2), dZ @ np.swapaxes(W, -1, -2)
+    return dW, dU, dZ.sum(axis=-2), dX
+
+
+def _distinct_rows(encoded: list[_EncodedPair]):
+    """The batch rows a step runs, or None when every pair is distinct.
+
+    Returns (keep, stand): keep holds the first copy of each distinct
+    (input, target) pair, and stand[b] the position in keep of the copy
+    that runs batch row b's pair, b's own where b is kept. NumPy sends a
+    one-row product to GEMV, whose bits differ from GEMM's, so where the
+    batch holds two or more copies of the one pair with its longest input,
+    or with its longest target, keep holds a second copy too: the steps
+    that only that pair runs then multiply two rows, as the full batch
+    does.
+    """
+    keys = [(tuple(e.input_ids), tuple(e.target_ids)) for e in encoded]
+    first: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for b, key in enumerate(keys):
+        first.setdefault(key, b)
+    if len(first) == len(keys):
+        return None
+    keep = list(first.values())
+    for side in (0, 1):
+        lengths = [len(keys[b][side]) for b in keep]
+        top = max(lengths)
+        if lengths.count(top) == 1:
+            b = keep[lengths.index(top)]
+            if keys.count(keys[b]) > 1:
+                keep.append(keys.index(keys[b], b + 1))
+    slot = {b: j for j, b in enumerate(keep)}
+    return keep, np.array([slot.get(b, slot[first[key]]) for b, key in enumerate(keys)])
+
+
+def _full_rows(full: _Packing, ran: _Packing, stand: np.ndarray):
+    """Where a run of the distinct rows holds each row of the full batch.
+
+    ``stand[b]`` is the row of the run that holds batch row b's pair. Both
+    packings sort the same lengths, so full sorted row j runs as the run's
+    sorted row ``rows[j]``, and full packed row p as the run's packed row
+    ``packed[p]``, at the same step. Returns (packed, rows).
+    """
+    rows = np.argsort(ran.order)[stand[full.order]]
+    return np.asarray(ran.off)[full.step] + rows[full.row], rows
 
 
 def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
@@ -156,17 +223,29 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     time loop, so the loops hold only h·U and the cell update; backward
     defers each layer's weight gradients to one GEMM over its stacked dz.
     ``train()`` passes its pairs already encoded, once per call.
+
+    A batch that repeats a pair runs each distinct pair once, plus the
+    second copy that _distinct_rows keeps off GEMV, through every per-row
+    stage, the input-gradient products (dZ·Wᵀ, dlogits·out_Wᵀ) included.
+    Every sum over rows gathers the rows back into the whole batch's
+    packed order first (_full_rows). The bridge's backward runs over every
+    row of the batch: its products are tiny and take a transposed operand,
+    and OpenBLAS's small-matrix kernels give such a product's rows other
+    bits as its row count changes.
     """
     if not batch:
         raise ConfigError("empty batch")
     p = model.params
     encoded = [_encode_pair(model.vocabulary, pair) for pair in batch]
-    enc = [pair.input_ids for pair in encoded]
-    tgt = [pair.target_ids for pair in encoded]
-    n = len(batch)
-    grads: dict[str, np.ndarray] = {}
-    if not all(enc):
+    if not all(pair.input_ids for pair in encoded):
         raise ShapeError("batch contains an empty input sequence")
+    n = len(batch)
+    distinct = _distinct_rows(encoded)
+    ran = encoded if distinct is None else [encoded[b] for b in distinct[0]]
+    m = len(ran)
+    enc = [pair.input_ids for pair in ran]
+    tgt = [pair.target_ids for pair in ran]
+    grads: dict[str, np.ndarray] = {}
     pd = _pack([len(s) + 1 for s in tgt])  # room for EOS
 
     # ---- encoder forward: both directions as one stacked recurrence;
@@ -179,7 +258,13 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     dec_in = _packed_ids(pd, [[SOS, *s] for s in tgt])
     dec_tgt = _packed_ids(pd, [[*s, EOS] for s in tgt])
     runs, logits = _decoder_forward(p, dec_in, init, pd, _decoder_U(p))
-    x = runs[-1][2][0][n:]
+
+    # where the run holds each packed row and each decoder row of the batch
+    full_d, gd, rows_d, ge = pd, None, None, None
+    if distinct is not None:
+        full_d = _pack([len(pair.target_ids) + 1 for pair in encoded])
+        gd, rows_d = _full_rows(full_d, pd, distinct[1])
+        ge = _full_rows(_pack([len(pair.input_ids) for pair in encoded]), pe, distinct[1])[0]
 
     # ---- loss: mean over pairs of per-pair mean token cross-entropy
     packed = np.arange(len(dec_tgt))
@@ -188,17 +273,19 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     probs = np.exp(logits, out=logits)
     total = probs.sum(axis=1)
     nll = np.log(total) - picked
-    loss = float((np.bincount(pd.row, nll, n) / pd.lengths).mean())
+    loss = float((np.bincount(full_d.row, _full(nll, gd, 0), n) / full_d.lengths).mean())
 
     # ---- backward: the softmax buffer becomes dlogits in place
     weight = (1.0 / pd.lengths)[pd.row] / n
     dlogits = probs
     dlogits *= (weight / total)[:, None]
     dlogits[packed, dec_tgt] -= weight
-    grads["out_W"] = x.T @ dlogits
-    grads["out_b"] = dlogits.sum(axis=0)
     dx = dlogits @ p["out_W"].T
-    del logits, probs, dlogits
+    del logits, probs
+    dlogits = _full(dlogits, gd)
+    grads["out_W"] = _full(runs[-1][2][0][m:], gd).T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
+    del dlogits
 
     # ---- decoder backward, top layer first; each layer's forward arrays
     # are freed once its weight gradients are out. Gradient reaches the
@@ -206,14 +293,16 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     d_init = [None, None]
     for k in (1, 0):
         x, Z, trace = runs.pop()
-        dh, dc = np.zeros((2, n, model.config.hidden_units))
+        dh, dc = np.zeros((2, m, model.config.hidden_units))
         d_init[k] = _packed_lstm_backward(Z, trace, p[f"dec{k}_U"], pd, dh, dc, dx)
         grads[f"dec{k}_W"], grads[f"dec{k}_U"], grads[f"dec{k}_b"], dx = _layer_grads(
-            x, trace, Z, p[f"dec{k}_W"], pd
+            x, trace, Z, p[f"dec{k}_W"], pd, gd
         )
-    del x, Z, trace
+        del x, Z, trace
 
-    # ---- bridge backward; collect gradients w.r.t. final encoder states
+    # ---- bridge backward over every row of the batch, in decoder order;
+    # collect gradients w.r.t. final encoder states
+    h_cat, c_cat = _full(h_cat, rows_d), _full(c_cat, rows_d)
     dh_cat = np.zeros_like(h_cat)
     dc_cat = np.zeros_like(c_cat)
     for layer, (dh, dc) in enumerate(d_init):
@@ -221,21 +310,27 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
             ("h", h_cat, dh_cat, dh, 0),
             ("c", c_cat, dc_cat, dc, 1),
         ):
-            bridged = init[layer][idx]
-            dpre = d_state * (1.0 - bridged * bridged)
+            bridged = _full(init[layer][idx], rows_d)
+            dpre = _full(d_state, rows_d) * (1.0 - bridged * bridged)
             grads[f"bridge_{kind}{layer}_W"] = cat.T @ dpre
             grads[f"bridge_{kind}{layer}_b"] = dpre.sum(axis=0)
             dcat += dpre @ p[f"bridge_{kind}{layer}_W"].T
 
     # ---- encoder backward, both directions stacked like the forward; each
-    # row's final-state gradient goes back to its encoder slot
+    # row of the run takes the final-state gradient of a batch row it holds
+    # and sends it back to its encoder slot
+    if rows_d is not None:
+        held = np.empty(m, dtype=np.int64)
+        held[rows_d] = np.arange(n)
+        dh_cat, dc_cat = dh_cat[held], dc_cat[held]
     seeds = []
     for dcat in (dh_cat, dc_cat):
-        seed = np.empty((2, n, model.config.hidden_units))
+        seed = np.empty((2, m, model.config.hidden_units))
         seed[:, perm] = np.stack(np.split(dcat, 2, axis=1))
         seeds.append(seed)
     _packed_lstm_backward(eZ, e_trace, eU, pe, *seeds)
-    dW, dU, db, dXe = _layer_grads(eX, e_trace, eZ, eW, pe)
+    dW, dU, db, dXe = _layer_grads(eX, e_trace, eZ, eW, pe, ge)
+    del eX, eZ, e_trace
     for d, direction in enumerate(("fwd", "bwd")):
         grads[f"enc_{direction}_W"] = dW[d]
         grads[f"enc_{direction}_U"] = dU[d]
@@ -245,8 +340,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     # bincount over (id, column) cells sums rows in order, as np.add.at
     # would, at a fraction of its cost
     v, d = p["embedding"].shape
-    ids = np.concatenate([dec_in, enc_ids.ravel()])
-    rows = np.concatenate([dx, dXe.reshape(-1, d)])
+    ids = np.concatenate([_full(dec_in, gd, 0), _full(enc_ids, ge, 1).ravel()])
+    rows = np.concatenate([_full(dx, gd), _full(dXe, ge).reshape(-1, d)])
     cells = (ids[:, None] * d + np.arange(d)).ravel()
     grads["embedding"] = np.bincount(cells, rows.ravel(), v * d).reshape(v, d)
     return loss, {name: grads[name] for name in p}

@@ -175,6 +175,13 @@ def test_bad_config_file_is_a_usage_error(corpus_file, tmp_path, capsys):
                  "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
     assert code == 1
 
+    # an integer of more digits than Python converts is bad JSON too
+    cfg.write_text('{"model": {"hidden_units": 1' + "0" * 5000 + "}}")
+    code = main(["train", "-i", str(corpus_file), "--release", "0",
+                 "--config", str(cfg), "-o", str(tmp_path / "x.ckpt")])
+    assert code == 1
+    assert f"config file {cfg} is not valid JSON: Exceeds the limit" in capsys.readouterr().err
+
     # a wrong type, or an int too large for a float field, exits 1 with
     # the message of the config that owns the field
     for config, message in [
@@ -236,11 +243,13 @@ HEADER = '{"kind": "header", "format_version": 1}\n'
     "body, error, message",
     [
         (HEADER + "{not json\n", ParseError, "line 2: bad JSON"),
+        ('{"kind": "header", "format_version": 1' + "0" * 5000 + "}\n", ParseError,
+         "line 1: bad JSON: Exceeds the limit"),
         ('{"kind": "header", "format_version": 99}\n', VersionError, "unsupported corpus"),
         (HEADER + '{"kind": "component", "release": "r9", "label": "NonVulnerable",'
          ' "path": "a.c", "source": ""}\n', IntegrityError, "unknown release 'r9'"),
     ],
-    ids=["parse", "version", "integrity"],
+    ids=["parse", "huge-int", "version", "integrity"],
 )
 def test_corpus_errors_name_the_file(body, error, message, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
@@ -451,9 +460,11 @@ def _set(name, value):
         (_set("seed", True), "seed must be int, got True"),
         (_set("learning_rate", "1.0"), "learning_rate must be float"),
         (_set("learning_rate", 10**400), "learning_rate is too large for a float"),
+        (lambda raw: raw.replace(b'"seed":0', b'"seed":1' + b"0" * 5000),
+         "config is not valid JSON: Exceeds the limit"),
     ],
     ids=["not-json", "not-utf8", "not-object", "short-decode-cap", "string-int",
-         "bool-int", "string-float", "huge-int-float"],
+         "bool-int", "string-float", "huge-int-float", "too-many-digits"],
 )
 def test_checkpoint_with_a_bad_config_exits_one(edit, message, corpus_file, tmp_path, capsys):
     ckpt, out = tmp_path / "bad.ckpt", tmp_path / "verdicts.jsonl"

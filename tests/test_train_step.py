@@ -34,6 +34,7 @@ from vulnseq.seq2seq import (
     train,
     vocabulary_from_pairs,
 )
+from vulnseq.seq2seq import model as model_module
 from vulnseq.seq2seq.model import Seq2SeqModel
 from vulnseq.seq2seq.vocab import EOS, PAD, SOS
 
@@ -240,6 +241,15 @@ BATCHES = {
     ),
     "duplicate pairs": lambda seed: _duplicated(_batch(seed, [(11, 7), (5, 13), (20, 1)])),
     "16 copies of one pair": lambda seed: _batch(seed, [(13, 9)]) * 16,
+    # a step runs each distinct pair once, plus a second copy of a repeated
+    # pair whose input or target is the batch's one longest
+    "repeated strictly-longest input": lambda seed: _with_copies(
+        _batch(seed, [(30, 5), (10, 8), (12, 3), (6, 8)]), 2
+    ),
+    "repeated strictly-longest target": lambda seed: _with_copies(
+        _batch(seed, [(5, 30), (10, 8), (12, 3), (10, 12)]), 2
+    ),
+    "repeated 1-token input, empty target": lambda seed: _with_copies(_batch(seed, [(1, 0)]), 2),
     "equal tokens, different kinds and paths": lambda seed: _relabelled(
         _batch(seed, [(10, 6), (4, 15), (21, 21)])
     ),
@@ -248,6 +258,14 @@ BATCHES = {
 
 def _duplicated(batch):
     return batch + [batch[1], batch[0], batch[1]]
+
+
+def _with_copies(batch, copies):
+    """batch, with copies more copies of its first pair spread through it."""
+    out = list(batch)
+    for k in range(copies):
+        out.insert(len(out) * (k + 1) // (copies + 1), batch[0])
+    return out
 
 
 def _relabelled(batch):
@@ -307,6 +325,30 @@ def test_batches_cover_the_ragged_cases():
     relabelled = BATCHES["equal tokens, different kinds and paths"](0)
     assert len({(p.input.tokens, p.target.tokens) for p in relabelled}) == 3
     assert len(set(relabelled)) == len(relabelled) == 9
+    for name, side in [
+        ("repeated strictly-longest input", 0),
+        ("repeated strictly-longest target", 1),
+        ("repeated 1-token input, empty target", 0),
+    ]:
+        rows = [(p.input.tokens, p.target.tokens) for p in BATCHES[name](0)]
+        longest = max(rows, key=lambda r: len(r[side]))
+        assert rows.count(longest) == 3
+        assert [len(r[side]) for r in set(rows)].count(len(longest[side])) == 1
+
+
+def test_a_repeated_pair_runs_once(monkeypatch):
+    seen, run = [], model_module._packed_lstm_forward
+
+    def spy(Z, h, c, Ua, packing):
+        seen.append(h.shape[-2])
+        return run(Z, h, c, Ua, packing)
+
+    monkeypatch.setattr(model_module, "_packed_lstm_forward", spy)
+    batch = BATCHES["16 copies of one pair"](0)
+    compute_loss_and_grads(_model(batch, 32, 0), batch)
+    # the encoder, then decoder layers 0 and 1; the pair's second copy keeps
+    # each step's product at two rows, off GEMV, as at sixteen
+    assert seen == [2, 2, 2]
 
 
 @settings(max_examples=40, deadline=None)
