@@ -188,7 +188,8 @@ def load_corpus(path: str) -> Corpus:
                 if header is not None:
                     raise ParseError("duplicate header record", line_no)
                 version = _require(record, "format_version", line_no)
-                if version != FORMAT_VERSION:
+                # True and 1.0 equal 1, but are not the integer 1
+                if type(version) is not int or version != FORMAT_VERSION:
                     raise VersionError(
                         f"unsupported corpus format_version {version!r}"
                     )

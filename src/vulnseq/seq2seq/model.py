@@ -35,7 +35,8 @@ that has trained keeps its freed heap memory.
 ``greedy_reproduces`` is the one "does greedy decoding give this target
 back?" check, for prediction and validation alike. Abstracted chunks
 repeat a lot, so it runs each distinct (input, target) row once and hands
-that verdict to every row that holds it.
+that verdict to every row that holds it. The training step finds its
+distinct pairs by the same first-copy rule, ``_first_copies``.
 """
 
 from __future__ import annotations
@@ -426,6 +427,14 @@ def decode_greedy(state, model: Seq2SeqModel) -> list[int]:
     return out
 
 
+def _first_copies(keys) -> tuple[list[int], list[int]]:
+    """(first, slot): the earliest row of each distinct key, in first-seen
+    order, and for each row b the position in first of b's key."""
+    seen: dict = {}
+    slot = [seen.setdefault(key, (len(seen), b))[0] for b, key in enumerate(keys)]
+    return [b for _, b in seen.values()], slot
+
+
 # Packed tokens, encoder and decoder, times hidden units per teacher-forced
 # block of greedy_reproduces. A block keeps every step's gates and states
 # alive, so its memory grows with that product; the bound keeps peak
@@ -449,8 +458,8 @@ def greedy_reproduces(
     checked as ``encode`` checks them.
 
     A verdict depends on its row's ids alone, so each distinct
-    ``(input, target)`` runs once, and every row holding it shares its
-    verdict.
+    ``(input, target)`` runs once, as its first copy (``_first_copies``),
+    and every row holding it shares its verdict.
 
     Raises NumericalError when the check's arithmetic overflows or turns
     invalid. The floating-point flags tell, not the logits: tanh saturates
@@ -459,13 +468,9 @@ def greedy_reproduces(
     """
     if len(inputs) != len(targets):
         raise ShapeError("inputs and targets differ in length")
-    # the slot of each row's distinct (input, target), in first-seen order
-    distinct: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    slots = [
-        distinct.setdefault((tuple(i), tuple(t)), len(distinct))
-        for i, t in zip(inputs, targets)
-    ]
-    keys = list(distinct)
+    keys = [(tuple(i), tuple(t)) for i, t in zip(inputs, targets)]
+    first, slots = _first_copies(keys)
+    keys = [keys[b] for b in first]
     v = model.vocabulary.size()
     for input_ids, _ in keys:
         _check_input_ids(input_ids, v)

@@ -3,28 +3,29 @@
 The loss for a batch is the mean over pairs of each pair's mean token
 cross-entropy, so it depends neither on the order of the pairs nor on
 how long the other pairs are. Optimization is plain gradient descent with global-norm
-clipping. Every run is a pure function of (pairs, config): shuffling,
-init, and the holdout split all come from seeded generators.
+clipping. ``train()`` seeds its init and shuffling from ``config.seed``
+and takes its validation pairs from the caller. Equal inputs give equal
+bytes only under one BLAS thread count and set of CPU kernels.
 
 A training step runs the packed, time-major layout described in
 ``model`` (``_Packing``), the one that inference runs too, and
 backpropagates through it without touching padding.
 
 Abstraction makes training pairs repeat, so a batch often holds a pair
-more than once. A step runs each distinct pair once through everything
-that works row by row: the encoder, the decoder, the softmax, the
-backward recurrences and the input-gradient products. Before each sum
-over rows (the loss, every weight and bias gradient, the embedding
-scatter) it gathers those rows back into the packed order of the whole
-batch, so each sum adds the same numbers in the same order as a step
-over every copy. NumPy sends a one-row product to GEMV, whose bits differ
-from GEMM's, so the step keeps a second copy of a repeated pair whose
-input or target is the batch's one longest; otherwise the last steps of
-that row would multiply one row where the whole batch multiplies two.
-With OpenBLAS's AVX-512 kernels at desk width, the bits then equal those
-of a step over every copy; AVX2 kernels, whose GEMM rows depend on the
-row count, and small products with a transposed operand agree only to
-rounding.
+more than once. Every step runs the first copy of each distinct pair
+(``_first_copies``, as the identity check does) through everything that
+works row by row: the encoder, the decoder, the softmax, the backward
+recurrences and the input-gradient products. Before each sum over rows
+(every weight and bias gradient, the embedding scatter) it gathers those
+rows back into the packed order of the whole batch, so each sum adds the
+same numbers in the same order as a step over every copy. NumPy sends a
+one-row product to GEMV, whose bits differ from GEMM's, so the step
+keeps a second copy of a repeated pair whose input or target is the
+batch's one longest; otherwise the last steps of that row would multiply
+one row where the whole batch multiplies two. With OpenBLAS's AVX-512
+kernels at desk width, the bits then equal those of a step over every
+copy; AVX2 kernels, whose GEMM rows depend on the row count, and small
+products with a transposed operand agree only to rounding.
 
 A step allocates its arrays afresh, much as large as the last step's.
 By default glibc gives each large one its own mapping and hands memory
@@ -50,6 +51,7 @@ from .model import (
     _decoder_forward,
     _decoder_U,
     _encode_rows,
+    _first_copies,
     _pack,
     _packed_ids,
     _Packing,
@@ -71,16 +73,18 @@ def vocabulary_from_pairs(pairs: list[TrainingPair], min_count: int = 1) -> Voca
 
 
 class _EncodedPair(NamedTuple):
-    """A training pair's input and target ids under the model's vocabulary."""
+    """A training pair's ids under the model's vocabulary; a pair is its own key."""
 
-    input_ids: list[int]
-    target_ids: list[int]
+    input_ids: tuple[int, ...]
+    target_ids: tuple[int, ...]
 
 
 def _encode_pair(vocab: Vocabulary, pair: TrainingPair | _EncodedPair) -> _EncodedPair:
     if isinstance(pair, _EncodedPair):
         return pair
-    return _EncodedPair(vocab.encode(pair.input.tokens), vocab.encode(pair.target.tokens))
+    return _EncodedPair(
+        tuple(vocab.encode(pair.input.tokens)), tuple(vocab.encode(pair.target.tokens))
+    )
 
 
 def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
@@ -144,12 +148,7 @@ def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
     return dh, dc
 
 
-def _full(a, idx, axis=-2):
-    """Rows idx of a along axis, or a itself when idx is None."""
-    return a if idx is None else np.take(a, idx, axis=axis)
-
-
-def _layer_grads(X, trace, dZ, W, packing: _Packing, idx=None):
+def _layer_grads(X, trace, dZ, W, packing: _Packing, idx):
     """dW, dU, db and the input gradient of a layer, one GEMM or sum each.
 
     X is the layer's packed input, trace its _packed_lstm_forward trace
@@ -160,41 +159,36 @@ def _layer_grads(X, trace, dZ, W, packing: _Packing, idx=None):
     before each row, which dU pairs with dZ, are one gather.
     """
     dX = dZ @ np.swapaxes(W, -1, -2)
-    dZ = _full(dZ, idx)
-    dW = np.swapaxes(_full(X, idx), -1, -2) @ dZ
-    H_in = trace[0][..., packing.prev if idx is None else packing.prev[idx], :]
+    dZ = np.take(dZ, idx, axis=-2)
+    dW = np.swapaxes(np.take(X, idx, axis=-2), -1, -2) @ dZ
+    H_in = trace[0][..., packing.prev[idx], :]
     dU = np.swapaxes(H_in, -1, -2) @ dZ
     return dW, dU, dZ.sum(axis=-2), dX
 
 
 def _distinct_rows(encoded: list[_EncodedPair]):
-    """The batch rows a step runs, or None when every pair is distinct.
+    """The batch rows a step runs.
 
     Returns (keep, stand): keep holds the first copy of each distinct
-    (input, target) pair, and stand[b] the position in keep of the copy
-    that runs batch row b's pair, b's own where b is kept. NumPy sends a
-    one-row product to GEMV, whose bits differ from GEMM's, so where the
-    batch holds two or more copies of the one pair with its longest input,
-    or with its longest target, keep holds a second copy too: the steps
-    that only that pair runs then multiply two rows, as the full batch
-    does.
+    (input, target) pair (``_first_copies``), and stand[b] the position in
+    keep of the copy that runs batch row b's pair, b's own where b is
+    kept. NumPy sends a one-row product to GEMV, whose bits differ from
+    GEMM's, so where the batch holds two or more copies of the one pair
+    with its longest input, or with its longest target, keep holds a
+    second copy too: the steps that only that pair runs then multiply two
+    rows, as the full batch does.
     """
-    keys = [(tuple(e.input_ids), tuple(e.target_ids)) for e in encoded]
-    first: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for b, key in enumerate(keys):
-        first.setdefault(key, b)
-    if len(first) == len(keys):
-        return None
-    keep = list(first.values())
+    keep, stand = _first_copies(encoded)
     for side in (0, 1):
-        lengths = [len(keys[b][side]) for b in keep]
+        lengths = [len(encoded[b][side]) for b in keep]
         top = max(lengths)
         if lengths.count(top) == 1:
             b = keep[lengths.index(top)]
-            if keys.count(keys[b]) > 1:
-                keep.append(keys.index(keys[b], b + 1))
-    slot = {b: j for j, b in enumerate(keep)}
-    return keep, np.array([slot.get(b, slot[first[key]]) for b, key in enumerate(keys)])
+            if encoded.count(encoded[b]) > 1:
+                second = encoded.index(encoded[b], b + 1)
+                stand[second] = len(keep)
+                keep.append(second)
+    return keep, np.array(stand)
 
 
 def _full_rows(full: _Packing, ran: _Packing, stand: np.ndarray):
@@ -224,14 +218,15 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     defers each layer's weight gradients to one GEMM over its stacked dz.
     ``train()`` passes its pairs already encoded, once per call.
 
-    A batch that repeats a pair runs each distinct pair once, plus the
-    second copy that _distinct_rows keeps off GEMV, through every per-row
-    stage, the input-gradient products (dZ·Wᵀ, dlogits·out_Wᵀ) included.
-    Every sum over rows gathers the rows back into the whole batch's
-    packed order first (_full_rows). The bridge's backward runs over every
-    row of the batch: its products are tiny and take a transposed operand,
-    and OpenBLAS's small-matrix kernels give such a product's rows other
-    bits as its row count changes.
+    Every batch runs each distinct pair once, plus the second copy that
+    _distinct_rows keeps off GEMV, through every per-row stage, the
+    input-gradient products (dZ·Wᵀ, dlogits·out_Wᵀ) included. Every sum
+    over rows gathers the rows back into the whole batch's packed order
+    first (_full_rows); the loss takes each run row's token sum once per
+    batch row it holds. The bridge's backward runs over every row of the
+    batch: its products are tiny and take a transposed operand, and
+    OpenBLAS's small-matrix kernels give such a product's rows other bits
+    as its row count changes.
     """
     if not batch:
         raise ConfigError("empty batch")
@@ -240,8 +235,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     if not all(pair.input_ids for pair in encoded):
         raise ShapeError("batch contains an empty input sequence")
     n = len(batch)
-    distinct = _distinct_rows(encoded)
-    ran = encoded if distinct is None else [encoded[b] for b in distinct[0]]
+    keep, stand = _distinct_rows(encoded)
+    ran = [encoded[b] for b in keep]
     m = len(ran)
     enc = [pair.input_ids for pair in ran]
     tgt = [pair.target_ids for pair in ran]
@@ -260,11 +255,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     runs, logits = _decoder_forward(p, dec_in, init, pd, _decoder_U(p))
 
     # where the run holds each packed row and each decoder row of the batch
-    full_d, gd, rows_d, ge = pd, None, None, None
-    if distinct is not None:
-        full_d = _pack([len(pair.target_ids) + 1 for pair in encoded])
-        gd, rows_d = _full_rows(full_d, pd, distinct[1])
-        ge = _full_rows(_pack([len(pair.input_ids) for pair in encoded]), pe, distinct[1])[0]
+    gd, rows_d = _full_rows(_pack([len(pair.target_ids) + 1 for pair in encoded]), pd, stand)
+    ge = _full_rows(_pack([len(pair.input_ids) for pair in encoded]), pe, stand)[0]
 
     # ---- loss: mean over pairs of per-pair mean token cross-entropy
     packed = np.arange(len(dec_tgt))
@@ -273,7 +265,7 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     probs = np.exp(logits, out=logits)
     total = probs.sum(axis=1)
     nll = np.log(total) - picked
-    loss = float((np.bincount(full_d.row, _full(nll, gd, 0), n) / full_d.lengths).mean())
+    loss = float((np.bincount(pd.row, nll, m) / pd.lengths)[rows_d].mean())
 
     # ---- backward: the softmax buffer becomes dlogits in place
     weight = (1.0 / pd.lengths)[pd.row] / n
@@ -282,8 +274,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     dlogits[packed, dec_tgt] -= weight
     dx = dlogits @ p["out_W"].T
     del logits, probs
-    dlogits = _full(dlogits, gd)
-    grads["out_W"] = _full(runs[-1][2][0][m:], gd).T @ dlogits
+    dlogits = dlogits[gd]
+    grads["out_W"] = runs[-1][2][0][m:][gd].T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
     del dlogits
 
@@ -302,7 +294,7 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
 
     # ---- bridge backward over every row of the batch, in decoder order;
     # collect gradients w.r.t. final encoder states
-    h_cat, c_cat = _full(h_cat, rows_d), _full(c_cat, rows_d)
+    h_cat, c_cat = h_cat[rows_d], c_cat[rows_d]
     dh_cat = np.zeros_like(h_cat)
     dc_cat = np.zeros_like(c_cat)
     for layer, (dh, dc) in enumerate(d_init):
@@ -310,8 +302,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
             ("h", h_cat, dh_cat, dh, 0),
             ("c", c_cat, dc_cat, dc, 1),
         ):
-            bridged = _full(init[layer][idx], rows_d)
-            dpre = _full(d_state, rows_d) * (1.0 - bridged * bridged)
+            bridged = init[layer][idx][rows_d]
+            dpre = d_state[rows_d] * (1.0 - bridged * bridged)
             grads[f"bridge_{kind}{layer}_W"] = cat.T @ dpre
             grads[f"bridge_{kind}{layer}_b"] = dpre.sum(axis=0)
             dcat += dpre @ p[f"bridge_{kind}{layer}_W"].T
@@ -319,10 +311,9 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     # ---- encoder backward, both directions stacked like the forward; each
     # row of the run takes the final-state gradient of a batch row it holds
     # and sends it back to its encoder slot
-    if rows_d is not None:
-        held = np.empty(m, dtype=np.int64)
-        held[rows_d] = np.arange(n)
-        dh_cat, dc_cat = dh_cat[held], dc_cat[held]
+    held = np.empty(m, dtype=np.int64)
+    held[rows_d] = np.arange(n)
+    dh_cat, dc_cat = dh_cat[held], dc_cat[held]
     seeds = []
     for dcat in (dh_cat, dc_cat):
         seed = np.empty((2, m, model.config.hidden_units))
@@ -340,8 +331,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     # bincount over (id, column) cells sums rows in order, as np.add.at
     # would, at a fraction of its cost
     v, d = p["embedding"].shape
-    ids = np.concatenate([_full(dec_in, gd, 0), _full(enc_ids, ge, 1).ravel()])
-    rows = np.concatenate([_full(dx, gd), _full(dXe, ge).reshape(-1, d)])
+    ids = np.concatenate([dec_in[gd], np.take(enc_ids, ge, axis=1).ravel()])
+    rows = np.concatenate([dx[gd], np.take(dXe, ge, axis=-2).reshape(-1, d)])
     cells = (ids[:, None] * d + np.arange(d)).ravel()
     grads["embedding"] = np.bincount(cells, rows.ravel(), v * d).reshape(v, d)
     return loss, {name: grads[name] for name in p}

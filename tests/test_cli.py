@@ -246,10 +246,14 @@ HEADER = '{"kind": "header", "format_version": 1}\n'
         ('{"kind": "header", "format_version": 1' + "0" * 5000 + "}\n", ParseError,
          "line 1: bad JSON: Exceeds the limit"),
         ('{"kind": "header", "format_version": 99}\n', VersionError, "unsupported corpus"),
+        ('{"kind": "header", "format_version": true}\n', VersionError,
+         "unsupported corpus format_version True"),
+        ('{"kind": "header", "format_version": 1.0}\n', VersionError,
+         "unsupported corpus format_version 1.0"),
         (HEADER + '{"kind": "component", "release": "r9", "label": "NonVulnerable",'
          ' "path": "a.c", "source": ""}\n', IntegrityError, "unknown release 'r9'"),
     ],
-    ids=["parse", "huge-int", "version", "integrity"],
+    ids=["parse", "huge-int", "version", "bool-version", "float-version", "integrity"],
 )
 def test_corpus_errors_name_the_file(body, error, message, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
@@ -262,6 +266,7 @@ def test_corpus_errors_name_the_file(body, error, message, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from vulnseq.seq2seq import (
     load_model,
     vocabulary_from_pairs,
 )
-from vulnseq.seq2seq.model import MAX_DECODE_LENGTH, Seq2SeqModel
+from vulnseq.seq2seq.model import MAX_DECODE_LENGTH, Seq2SeqModel, _first_copies
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
 from padded_oracle import greedy_decode
@@ -166,6 +166,17 @@ def test_each_distinct_row_reaches_the_model_once(cases, monkeypatch):
         got = greedy_reproduces(model, inputs, targets)
         assert sorted(received) == sorted(set(rows)), (corpus_seed, model_name)
         assert got == _oracle(model, inputs, targets), (corpus_seed, model_name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=20))
+def test_first_copies_are_the_earliest_rows_in_first_seen_order(keys):
+    # the identity check and the training step both take their rows from here
+    first, slot = _first_copies(keys)
+    assert first == [b for b, key in enumerate(keys) if key not in keys[:b]]
+    assert len(slot) == len(keys)
+    for b, j in enumerate(slot):
+        assert keys[first[j]] == keys[b]
 
 
 def test_equal_inputs_with_different_targets_match_greedy_decoding(cases):

@@ -344,11 +344,20 @@ def test_a_repeated_pair_runs_once(monkeypatch):
         return run(Z, h, c, Ua, packing)
 
     monkeypatch.setattr(model_module, "_packed_lstm_forward", spy)
-    batch = BATCHES["16 copies of one pair"](0)
-    compute_loss_and_grads(_model(batch, 32, 0), batch)
-    # the encoder, then decoder layers 0 and 1; the pair's second copy keeps
-    # each step's product at two rows, off GEMV, as at sixteen
-    assert seen == [2, 2, 2]
+    for batch, rows in [
+        # the pair's second copy keeps each step's product at two rows, off
+        # GEMV, as at sixteen
+        (BATCHES["16 copies of one pair"](0), 2),
+        # no repeats: every row, once
+        (_ragged(0), 16),
+        # four distinct pairs, and one second copy for the pair that holds
+        # both the longest input and the longest target
+        (_with_copies(_batch(0, [(30, 30), (10, 8), (12, 3), (6, 8)]), 2), 5),
+    ]:
+        seen.clear()
+        compute_loss_and_grads(_model(batch, 32, 0), batch)
+        # the encoder, then decoder layers 0 and 1
+        assert seen == [rows] * 3
 
 
 @settings(max_examples=40, deadline=None)
