@@ -39,6 +39,7 @@ from .errors import (
     NumericalError,
     StructureError,
     VulnseqError,
+    check_field_types,
 )
 from .evaluate import EvaluationReport, run_release_pairs
 
@@ -156,6 +157,7 @@ class ClassifierConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("learning_rate", "l2", "threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")

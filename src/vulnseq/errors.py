@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the field-type rule
+that every config dataclass checks when built."""
+
+from dataclasses import fields
 
 
 class VulnseqError(Exception):
@@ -21,6 +24,27 @@ class IntegrityError(VulnseqError):
 
 class ConfigError(VulnseqError):
     """Invalid configuration value."""
+
+
+# bool is an int subclass, so an int field must also refuse a bool
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError unless each field of the frozen dataclass config
+    holds its annotated type: a bool only where the annotation says bool,
+    and a float field also takes an int, stored as a float."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) != (f.type == "bool") or not isinstance(
+            value, _FIELD_TYPES[f.type]
+        ):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float":
+            try:
+                object.__setattr__(config, f.name, float(value))
+            except OverflowError:
+                raise ConfigError(f"{f.name} is too large for a float") from None
 
 
 class LexError(VulnseqError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .abstraction import AbstractedSequence, IdMap, SeqRole, function_sequences
 from .corpus import Label, TrainingMaterial
 from .cparse import FunctionUnit, Spellings, extract_functions, spelling_table, tokenize
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,7 @@ class PairingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        ratio = self.non_vuln_ratio
-        # bool is an int subclass; an int is stored as a float
-        if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
-            raise ConfigError(f"non_vuln_ratio must be a number, got {ratio!r}")
-        try:
-            object.__setattr__(self, "non_vuln_ratio", float(ratio))
-        except OverflowError:
-            raise ConfigError("non_vuln_ratio is too large for a float") from None
+        check_field_types(self)
         if not (math.isfinite(self.non_vuln_ratio) and self.non_vuln_ratio > 0):
             raise ConfigError("non_vuln_ratio must be positive and finite")
 

@@ -16,12 +16,14 @@ length + 1 for the EOS step. The rows still running at step t are then a
 prefix of k[t] rows, stored at rows off[t] to off[t] + k[t] of arrays
 with one row per real token (``_Packing``), so every recurrence,
 projection and softmax runs over real tokens only and no loop holds a
-mask. The encoder's backward direction reads each row reversed within
-its own length, so both directions share k[t] and run as one stacked
-recurrence. A single step, as ``recurrent_cell`` and ``decode_greedy``
-take them, is a packing of one row of length 1. ``_encode_rows``, the one
-encoder assembly of training, ``encode`` and the identity check, bridges
-the final states in the caller's decoder order. A ``ModelConfig`` checks
+mask. Every LSTM run, each encoder direction and each decoder layer, is
+one 2-D layer run (``_layer_forward``) over its own weights. The
+encoder's backward direction reads each row reversed within its own
+length, so both directions run over one packing. A single step, as
+``recurrent_cell`` and ``decode_greedy`` take them, is a packing of one
+row of length 1. ``_encode_rows``, the one encoder assembly of training,
+``encode`` and the identity check, bridges the final states in the
+caller's decoder order. A ``ModelConfig`` checks
 its field types and values and a ``Seq2SeqModel`` its parameter shapes
 once, when built. Greedy decoding stops after ``MAX_DECODE_LENGTH`` (64)
 tokens, a constant: chunks hold at most 50 tokens, so it never cuts one
@@ -42,14 +44,14 @@ distinct pairs by the same first-copy rule, ``_first_copies``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, NumericalError, ShapeError
+from ..errors import ConfigError, NumericalError, ShapeError, check_field_types
 from .vocab import EOS, SOS, Vocabulary
 
 
@@ -59,11 +61,8 @@ MAX_DECODE_LENGTH = 64
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The model's settings, the one place that knows their names and types.
-
-    Each field must hold its annotated type, never a bool; a float field
-    also takes an int, stored as a float.
-    """
+    """The model's settings, the one place that knows their names and types,
+    checked by ``check_field_types``."""
 
     embedding_dim: int = 32
     hidden_units: int = 32
@@ -76,17 +75,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            allowed = (int, float) if f.type == "float" else int
-            # bool is an int subclass
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float":
-                try:
-                    object.__setattr__(self, f.name, float(value))
-                except OverflowError:
-                    raise ConfigError(f"{f.name} is too large for a float") from None
+        check_field_types(self)
         for name in ("learning_rate", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -242,47 +231,52 @@ def _gate_scaled(U: np.ndarray) -> np.ndarray:
 def _packed_lstm_forward(Z, h, c, Ua, packing: _Packing):
     """Run an LSTM layer over packed input projections.
 
-    Z (..., N, 4n) holds x·W + b for every packed row; leading axes stack
-    independent layers that run in lockstep over the same packing, with Ua
-    (..., n, 4n) and the initial h, c (..., B, n) stacked to match. Ua is U
-    already scaled by ``_gate_scaled``, once per caller, not per step. Step
-    t adds h·Ua to its k[t] rows of Z and overwrites them with the gate
-    activations (i, f, g, o), one tanh for all four. Returns the trace (Hs,
-    Cs, TC): Hs and Cs (..., B + N, n) hold the initial states, then the
-    state after each packed row, and TC (..., N, n) tanh of each new cell
-    state, which is what backpropagation reads.
+    Z (N, 4n) holds x·W + b for every packed row, Ua (n, 4n) is U already
+    scaled by ``_gate_scaled``, once per caller, not per step, and h, c
+    (B, n) are the initial states. Step t adds h·Ua to its k[t] rows of Z
+    and overwrites them with the gate activations (i, f, g, o), one tanh
+    for all four. Returns the trace (Hs, Cs, TC): Hs and Cs (B + N, n) hold
+    the initial states, then the state after each packed row, and TC (N,
+    n) tanh of each new cell state, which is what backpropagation reads.
     """
-    n = Ua.shape[-2]
-    b = h.shape[-2]
+    n = Ua.shape[0]
+    b = len(h)
     # the factors a themselves, full-shape, as a broadcast row would cost
     # numpy more per call
-    a = _gate_scaled(np.ones(h.shape[:-1] + (4 * n,)))
+    a = _gate_scaled(np.ones((b, 4 * n)))
     shift = 1.0 - a
-    Z *= a[..., :1, :]
-    Hs = np.empty(Z.shape[:-2] + (b + Z.shape[-2], n))
+    Z *= a[0]
+    Hs = np.empty((b + len(Z), n))
     Cs = np.empty_like(Hs)
-    TC = np.empty(Z.shape[:-1] + (n,))
-    Hs[..., :b, :] = h
-    Cs[..., :b, :] = c
+    TC = np.empty((len(Z), n))
+    Hs[:b] = h
+    Cs[:b] = c
     before = 0
     for start, k in zip(packing.off, packing.k):
-        z = Z[..., start : start + k, :]
-        z += Hs[..., before : before + k, :] @ Ua
+        z = Z[start : start + k]
+        z += Hs[before : before + k] @ Ua
         np.tanh(z, out=z)
-        z *= a[..., :k, :]
-        z += shift[..., :k, :]
+        z *= a[:k]
+        z += shift[:k]
         after = b + start
-        c_new = np.multiply(
-            z[..., n : 2 * n], Cs[..., before : before + k, :], out=Cs[..., after : after + k, :]
-        )
-        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
+        c_new = np.multiply(z[:, n : 2 * n], Cs[before : before + k], out=Cs[after : after + k])
+        c_new += z[:, :n] * z[:, 2 * n : 3 * n]
         np.multiply(
-            z[..., 3 * n :],
-            np.tanh(c_new, out=TC[..., start : start + k, :]),
-            out=Hs[..., after : after + k, :],
+            z[:, 3 * n :], np.tanh(c_new, out=TC[start : start + k]), out=Hs[after : after + k]
         )
         before = after
     return Hs, Cs, TC
+
+
+def _layer_forward(p, name: str, x, state, Ua, packing: _Packing):
+    """Layer name's W, U and b run over its packed inputs x from state (h, c).
+
+    Ua is the layer's U from ``_gate_scaled``. Returns Z, left holding the
+    gates, and the trace: what backpropagation reads.
+    """
+    Z = x @ p[f"{name}_W"]
+    Z += p[f"{name}_b"]
+    return Z, _packed_lstm_forward(Z, *state, Ua, packing)
 
 
 # one row, one step: the packing of recurrent_cell and decode_greedy
@@ -319,38 +313,30 @@ def _bridge(p, h_cat, c_cat):
     ]
 
 
-def _encoder_forward(p, seqs: list[list[int]], pe: _Packing):
-    """Both encoder directions over seqs, packed by pe, as one recurrence.
-
-    Direction 1 reads each row backwards. Returns the packed ids (2, N),
-    their embeddings, the gates, the trace, and the W and U of the two
-    directions stacked on axis 0: what backpropagation reads.
-    """
-    ids = np.stack([_packed_ids(pe, seqs), _packed_ids(pe, seqs, reverse=True)])
-    W, U, b = (np.stack([p[f"enc_fwd_{k}"], p[f"enc_bwd_{k}"]]) for k in "WUb")
-    X = p["embedding"][ids]
-    Z = X @ W
-    Z += b[:, None, :]
-    zeros = np.zeros((2, len(seqs), U.shape[-2]))
-    return ids, X, Z, _packed_lstm_forward(Z, zeros, zeros, _gate_scaled(U), pe), W, U
-
-
 def _encode_rows(p, seqs: list[list[int]], rows):
     """Run the encoder over seqs and bridge the final states of batch rows
     ``rows``, in that order.
 
-    Returns the encoder's packing, the sorted position of each requested
-    row, the encoder run (see _encoder_forward), the concatenated final
-    states (h_cat, c_cat) and the bridged decoder initial states:
-    backpropagation reads them all, inference only the last.
+    The two directions are two layer runs over one packing, the backward
+    one on each row's ids reversed. Returns the encoder's packing, the
+    sorted position of each requested row, each direction's run (packed
+    ids, embeddings, gates, trace), the concatenated final states (h_cat,
+    c_cat) and the bridged decoder initial states: backpropagation reads
+    them all, inference only the last.
     """
     pe = _pack([len(s) for s in seqs])
-    run = _encoder_forward(p, seqs, pe)
+    zeros = np.zeros((len(seqs), len(p["enc_fwd_U"])))
+    runs = []
+    for name, reverse in (("enc_fwd", False), ("enc_bwd", True)):
+        ids = _packed_ids(pe, seqs, reverse)
+        x = p["embedding"][ids]
+        Ua = _gate_scaled(p[f"{name}_U"])
+        runs.append((ids, x, *_layer_forward(p, name, x, (zeros, zeros), Ua, pe)))
     # batch row order[j] is sorted row j, and ends at trace row last[j]
     sel = np.argsort(pe.order)[rows]
     fin = pe.last[sel]
-    cat = [np.concatenate(states[:, fin], axis=1) for states in run[3][:2]]
-    return pe, sel, run, cat, _bridge(p, *cat)
+    cat = [np.concatenate([trace[k][fin] for *_, trace in runs], axis=1) for k in range(2)]
+    return pe, sel, runs, cat, _bridge(p, *cat)
 
 
 def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
@@ -363,11 +349,10 @@ def _check_input_ids(input_ids: list[int], vocab_size: int) -> None:
 def encode(input_ids: list[int], model: Seq2SeqModel):
     """Encode one sequence. Returns (outputs (T,2H), decoder init states)."""
     _check_input_ids(input_ids, model.vocabulary.size())
-    _, _, run, _, init = _encode_rows(model.params, [input_ids], [0])
-    Hs = run[3][0]
-    # trace row t + 1 holds the state after step t, and direction 1's step
-    # t reads position T-1-t, so its outputs run reversed
-    outputs = np.concatenate([Hs[0, 1:], Hs[1, :0:-1]], axis=1)
+    _, _, (fwd, bwd), _, init = _encode_rows(model.params, [input_ids], [0])
+    # trace row t + 1 holds the state after step t, and the backward
+    # direction's step t reads position T-1-t, so its outputs run reversed
+    outputs = np.concatenate([fwd[3][0][1:], bwd[3][0][:0:-1]], axis=1)
     return outputs, [(h[0], c[0]) for h, c in init]
 
 
@@ -394,9 +379,7 @@ def _decoder_forward(p, dec_in: np.ndarray, init, pd: _Packing, Ua):
     runs = []
     x = p["embedding"][dec_in]
     for k in range(2):
-        Z = x @ p[f"dec{k}_W"]
-        Z += p[f"dec{k}_b"]
-        trace = _packed_lstm_forward(Z, *init[k], Ua[k], pd)
+        Z, trace = _layer_forward(p, f"dec{k}", x, init[k], Ua[k], pd)
         runs.append((x, Z, trace))
         x = trace[0][len(pd.order) :]
     logits = x @ p["out_W"]

@@ -9,7 +9,12 @@ bytes only under one BLAS thread count and set of CPU kernels.
 
 A training step runs the packed, time-major layout described in
 ``model`` (``_Packing``), the one that inference runs too, and
-backpropagates through it without touching padding.
+backpropagates through it without touching padding. Every LSTM run, each
+encoder direction and each decoder layer, is one 2-D layer run forward
+and one call of ``_layer_backward`` back: the decoder's top layer, its
+bottom layer, then the encoder's forward and backward directions. Each
+run's forward arrays are dropped once its gradients are out, so a step
+holds one layer's weight-gradient gathers at a time.
 
 Abstraction makes training pairs repeat, so a batch often holds a pair
 more than once. Every step runs the first copy of each distinct pair
@@ -87,30 +92,34 @@ def _encode_pair(vocab: Vocabulary, pair: TrainingPair | _EncodedPair) -> _Encod
     )
 
 
-def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
-    """Backpropagate through a _packed_lstm_forward run from the gates in Z.
+def _layer_backward(p, grads, name: str, run, packing: _Packing, idx, dh, dc, dH=None):
+    """Backpropagate through a _layer_forward run of layer name.
 
-    dh and dc (..., B, n) hold the loss gradients at each sorted row's
-    final state. A row's final state is read only after its last step, so
-    its gradient waits in its slot of dh and dc until the loop reaches that
-    step; the loop then keeps each row's running gradient there, and on
-    return they hold the gradients at the initial states. dH (..., N, n),
-    if given, holds the gradients reaching each packed row's hidden state
-    from outside the layer. Each packed row of Z ends up holding its
-    pre-activation gradient dz, so the caller forms the weight gradients
-    after the loop. The trace is consumed.
+    run holds the layer's packed input x, its gates Z and its trace; Z and
+    the trace are consumed. dh and dc (B, n) hold the loss gradients at
+    each sorted row's final state. A row's final state is read only after
+    its last step, so its gradient waits in its slot of dh and dc until the
+    loop reaches that step; the loop then keeps each row's running gradient
+    there, and on return they hold the gradients at the initial states. dH
+    (N, n), if given, holds the gradients reaching each packed row's hidden
+    state from outside the layer. Each packed row of Z ends up holding its
+    pre-activation gradient dz. The input gradient is per row, so it is
+    formed on the rows that ran; dW, dU and db, one GEMM or sum each, read
+    them in the full batch's packed order, rows idx of the run (see
+    _full_rows), and go into grads. Returns the input gradient and (dh, dc).
     """
-    _, Cs, TC = trace
-    n = U.shape[-2]
+    x, Z, (Hs, Cs, TC) = run
+    W, U = p[f"{name}_W"], p[f"{name}_U"]
+    n = len(U)
     # Everything in dz that does not depend on dh or dc is computed for all
     # rows at once, in the buffers it replaces: Z's gate slots take
     #   [g·i(1-i), c_prev·f(1-f), i(1-g²), tanh(c)·o(1-o)],
     # the first three scaled in the loop by the cell-state gradient dct and
     # the last by dh; TC takes o(1 - tanh²(c)), dct's factor on dh; and F,
     # gathered as each row's c_prev, takes f, which carries dct back to it.
-    gates = Z.reshape(Z.shape[:-1] + (4, n))
-    i, f, g, o = (gates[..., k, :] for k in range(4))
-    F = Cs[..., packing.prev, :]
+    gates = Z.reshape(len(Z), 4, n)
+    i, f, g, o = (gates[:, k] for k in range(4))
+    F = Cs[packing.prev]
     tmp = 1.0 - o
     tmp *= o
     tmp *= TC  # tanh(c)·o(1-o)
@@ -132,38 +141,28 @@ def _packed_lstm_backward(Z, trace, U, packing: _Packing, dh, dc, dH=None):
     i[...] = tmp
     del tmp
 
-    UT = np.ascontiguousarray(np.swapaxes(U, -1, -2))
+    UT = np.ascontiguousarray(U.T)
     for start, k in zip(reversed(packing.off), reversed(packing.k)):
         rows = slice(start, start + k)
-        dh_t = dh[..., :k, :]
+        dh_t = dh[:k]
         if dH is not None:
-            dh_t += dH[..., rows, :]
-        dct = dh_t * TC[..., rows, :]
-        dct += dc[..., :k, :]
-        z = gates[..., rows, :, :]
-        z[..., :3, :] *= dct[..., None, :]
-        z[..., 3, :] *= dh_t
-        np.multiply(dct, F[..., rows, :], out=dc[..., :k, :])
-        np.matmul(Z[..., rows, :], UT, out=dh_t)
-    return dh, dc
+            dh_t += dH[rows]
+        dct = dh_t * TC[rows]
+        dct += dc[:k]
+        z = gates[rows]
+        z[:, :3] *= dct[:, None]
+        z[:, 3] *= dh_t
+        np.multiply(dct, F[rows], out=dc[:k])
+        np.matmul(Z[rows], UT, out=dh_t)
+    del F, UT
 
-
-def _layer_grads(X, trace, dZ, W, packing: _Packing, idx):
-    """dW, dU, db and the input gradient of a layer, one GEMM or sum each.
-
-    X is the layer's packed input, trace its _packed_lstm_forward trace
-    and dZ the per-row pre-activation gradients left by
-    _packed_lstm_backward. The input gradient is per row, so it is formed
-    on the rows that ran; the three sums over rows read them in the full
-    batch's packed order, rows idx of the run (see _full_rows). The states
-    before each row, which dU pairs with dZ, are one gather.
-    """
-    dX = dZ @ np.swapaxes(W, -1, -2)
-    dZ = np.take(dZ, idx, axis=-2)
-    dW = np.swapaxes(np.take(X, idx, axis=-2), -1, -2) @ dZ
-    H_in = trace[0][..., packing.prev[idx], :]
-    dU = np.swapaxes(H_in, -1, -2) @ dZ
-    return dW, dU, dZ.sum(axis=-2), dX
+    dX = Z @ W.T
+    dZ = Z[idx]
+    grads[f"{name}_W"] = x[idx].T @ dZ
+    # the states before each row, which dU pairs with dZ, are one gather
+    grads[f"{name}_U"] = Hs[packing.prev[idx]].T @ dZ
+    grads[f"{name}_b"] = dZ.sum(axis=0)
+    return dX, (dh, dc)
 
 
 def _distinct_rows(encoded: list[_EncodedPair]):
@@ -211,11 +210,11 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     the rows still running at step t are a prefix of k[t] rows and no
     array, GEMM or loop step touches padding. The encoder's backward
     direction reads each row reversed within its own length, so both
-    directions share k[t] and run as one stacked recurrence; a row's final
+    directions share one packing and run as two layer runs; a row's final
     state is gathered at its last step and permuted into decoder order.
     Every layer projects its inputs for all rows with one GEMM before its
     time loop, so the loops hold only h·U and the cell update; backward
-    defers each layer's weight gradients to one GEMM over its stacked dz.
+    defers each layer's weight gradients to one GEMM over its packed dz.
     ``train()`` passes its pairs already encoded, once per call.
 
     Every batch runs each distinct pair once, plus the second copy that
@@ -243,11 +242,9 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     grads: dict[str, np.ndarray] = {}
     pd = _pack([len(s) + 1 for s in tgt])  # room for EOS
 
-    # ---- encoder forward: both directions as one stacked recurrence;
-    # decoder row j reads the final encoder states of sorted row perm[j]
-    pe, perm, (enc_ids, eX, eZ, e_trace, eW, eU), (h_cat, c_cat), init = _encode_rows(
-        p, enc, pd.order
-    )
+    # ---- encoder forward: each direction one layer run; decoder row j
+    # reads the final encoder states of sorted row perm[j]
+    pe, perm, e_runs, (h_cat, c_cat), init = _encode_rows(p, enc, pd.order)
 
     # ---- decoder forward (teacher forcing)
     dec_in = _packed_ids(pd, [[SOS, *s] for s in tgt])
@@ -284,13 +281,8 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
     # final states only through the logits, so it starts at zero there.
     d_init = [None, None]
     for k in (1, 0):
-        x, Z, trace = runs.pop()
         dh, dc = np.zeros((2, m, model.config.hidden_units))
-        d_init[k] = _packed_lstm_backward(Z, trace, p[f"dec{k}_U"], pd, dh, dc, dx)
-        grads[f"dec{k}_W"], grads[f"dec{k}_U"], grads[f"dec{k}_b"], dx = _layer_grads(
-            x, trace, Z, p[f"dec{k}_W"], pd, gd
-        )
-        del x, Z, trace
+        dx, d_init[k] = _layer_backward(p, grads, f"dec{k}", runs.pop(), pd, gd, dh, dc, dx)
 
     # ---- bridge backward over every row of the batch, in decoder order;
     # collect gradients w.r.t. final encoder states
@@ -308,31 +300,30 @@ def compute_loss_and_grads(model: Seq2SeqModel, batch: list[TrainingPair]):
             grads[f"bridge_{kind}{layer}_b"] = dpre.sum(axis=0)
             dcat += dpre @ p[f"bridge_{kind}{layer}_W"].T
 
-    # ---- encoder backward, both directions stacked like the forward; each
-    # row of the run takes the final-state gradient of a batch row it holds
-    # and sends it back to its encoder slot
+    # ---- encoder backward, one direction at a time, its forward arrays
+    # freed once its gradients are out; each row of the run takes the
+    # final-state gradient of a batch row it holds and sends it back to
+    # its encoder slot
     held = np.empty(m, dtype=np.int64)
     held[rows_d] = np.arange(n)
     dh_cat, dc_cat = dh_cat[held], dc_cat[held]
-    seeds = []
-    for dcat in (dh_cat, dc_cat):
-        seed = np.empty((2, m, model.config.hidden_units))
-        seed[:, perm] = np.stack(np.split(dcat, 2, axis=1))
-        seeds.append(seed)
-    _packed_lstm_backward(eZ, e_trace, eU, pe, *seeds)
-    dW, dU, db, dXe = _layer_grads(eX, e_trace, eZ, eW, pe, ge)
-    del eX, eZ, e_trace
-    for d, direction in enumerate(("fwd", "bwd")):
-        grads[f"enc_{direction}_W"] = dW[d]
-        grads[f"enc_{direction}_U"] = dU[d]
-        grads[f"enc_{direction}_b"] = db[d]
+    h = model.config.hidden_units
+    # the embedding scatter reads decoder rows, then each direction's
+    ids, rows = [dec_in[gd]], [dx[gd]]
+    for side, name in enumerate(("enc_fwd", "enc_bwd")):
+        enc_ids, *run = e_runs.pop(0)
+        dh, dc = np.empty((2, m, h))
+        dh[perm] = dh_cat[:, side * h : (side + 1) * h]
+        dc[perm] = dc_cat[:, side * h : (side + 1) * h]
+        rows.append(_layer_backward(p, grads, name, run, pe, ge, dh, dc)[0][ge])
+        ids.append(enc_ids[ge])
+        del run
 
     # ---- one embedding scatter for every decoder and encoder row; a
     # bincount over (id, column) cells sums rows in order, as np.add.at
     # would, at a fraction of its cost
     v, d = p["embedding"].shape
-    ids = np.concatenate([dec_in[gd], np.take(enc_ids, ge, axis=1).ravel()])
-    rows = np.concatenate([dx[gd], np.take(dXe, ge, axis=-2).reshape(-1, d)])
+    ids, rows = np.concatenate(ids), np.concatenate(rows)
     cells = (ids[:, None] * d + np.arange(d)).ravel()
     grads["embedding"] = np.bincount(cells, rows.ravel(), v * d).reshape(v, d)
     return loss, {name: grads[name] for name in p}

@@ -25,7 +25,7 @@ from .corpus import (
     Release,
     VulnerabilityRecord,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 SENTINEL_FUNCTION = "legacy_mix"
 
@@ -77,6 +77,7 @@ class SynthesisSpec:
         return int(self.components_per_release * self.vuln_fraction + 0.5)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_releases < 2:
             raise ConfigError("n_releases must be at least 2")
         if self.components_per_release < 1:

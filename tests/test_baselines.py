@@ -324,6 +324,11 @@ BAD_CLASSIFIER_CONFIGS = [
     {"learning_rate": float("nan")},
     {"l2": float("inf")},
     {"threshold": float("nan")},
+    # each field holds its annotated type: no bool for an int, no float
+    # for an int, no string for a float
+    {"iterations": True},
+    {"iterations": 2.5},
+    {"learning_rate": "1"},
 ]
 
 

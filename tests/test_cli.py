@@ -185,7 +185,7 @@ def test_bad_config_file_is_a_usage_error(corpus_file, tmp_path, capsys):
     # a wrong type, or an int too large for a float field, exits 1 with
     # the message of the config that owns the field
     for config, message in [
-        ({"pairing": {"non_vuln_ratio": "5"}}, "non_vuln_ratio must be a number, got '5'"),
+        ({"pairing": {"non_vuln_ratio": "5"}}, "non_vuln_ratio must be float, got '5'"),
         ({"pairing": {"non_vuln_ratio": 10**400}}, "non_vuln_ratio is too large for a float"),
         ({"model": {"learning_rate": 10**400}}, "learning_rate is too large for a float"),
         ({"model": {"clip_norm": 10**400}}, "clip_norm is too large for a float"),

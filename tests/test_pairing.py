@@ -280,3 +280,9 @@ def test_igmp_unchanged_function_contributes_only_identities():
 def test_nonpositive_ratio_rejected(ratio):
     with pytest.raises(ConfigError, match="non_vuln_ratio must be positive and finite"):
         PairingConfig(non_vuln_ratio=ratio)
+
+
+def test_a_bool_seed_is_rejected():
+    # bool is an int subclass: seed=True would sample as seed 1
+    with pytest.raises(ConfigError, match="seed must be int, got True"):
+        PairingConfig(seed=True)

@@ -128,6 +128,9 @@ def test_fixed_component_keeps_guarded_source():
         {"vocabulary_skew": float("nan")},
         {"vocabulary_skew": float("inf")},
         {"components_per_release": 1, "vuln_fraction": 0.6},
+        {"components_per_release": 20.5},
+        {"n_releases": 3.0},
+        {"plant_sentinel": "no"},
     ],
 )
 def test_spec_validation(kwargs):
