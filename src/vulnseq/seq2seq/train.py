@@ -114,9 +114,9 @@ def _layer_backward(p, grads, name: str, run, packing: _Packing, idx, dh, dc, dH
     # Everything in dz that does not depend on dh or dc is computed for all
     # rows at once, in the buffers it replaces: Z's gate slots take
     #   [g·i(1-i), c_prev·f(1-f), i(1-g²), tanh(c)·o(1-o)],
-    # the first three scaled in the loop by the cell-state gradient dct and
-    # the last by dh; TC takes o(1 - tanh²(c)), dct's factor on dh; and F,
-    # gathered as each row's c_prev, takes f, which carries dct back to it.
+    # which the loop scales by (dct, dct, dct, dh) in one contiguous product;
+    # TC takes o(1 - tanh²(c)), the cell-state gradient dct's factor on dh;
+    # and F, gathered as each row's c_prev, takes f, which carries dct back.
     gates = Z.reshape(len(Z), 4, n)
     i, f, g, o = (gates[:, k] for k in range(4))
     F = Cs[packing.prev]
@@ -149,9 +149,7 @@ def _layer_backward(p, grads, name: str, run, packing: _Packing, idx, dh, dc, dH
             dh_t += dH[rows]
         dct = dh_t * TC[rows]
         dct += dc[:k]
-        z = gates[rows]
-        z[:, :3] *= dct[:, None]
-        z[:, 3] *= dh_t
+        Z[rows] *= np.concatenate((dct, dct, dct, dh_t), axis=1)
         np.multiply(dct, F[rows], out=dc[:k])
         np.matmul(Z[rows], UT, out=dh_t)
     del F, UT

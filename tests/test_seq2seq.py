@@ -41,6 +41,7 @@ from vulnseq.seq2seq import (
     vocabulary_from_pairs,
 )
 from vulnseq.seq2seq.model import MAX_DECODE_LENGTH, parameter_shapes
+from vulnseq.seq2seq.train import _global_norm
 from vulnseq.seq2seq.vocab import Vocabulary
 
 
@@ -313,6 +314,21 @@ def test_train_step_increments_step_and_empty_batch_rejected():
     assert state.step == 1
     with pytest.raises(ConfigError, match="empty batch"):
         compute_loss_and_grads(model, [])
+
+
+@pytest.mark.parametrize("above_the_cap", [True, False], ids=["above-the-cap", "below-the-cap"])
+def test_a_step_moves_each_parameter_by_lr_times_its_clipped_gradient(above_the_cap):
+    model = _tiny_model()
+    _, grads = compute_loss_and_grads(model, GRAD_PAIRS)
+    norm = _global_norm(grads)
+    cap = norm / 4 if above_the_cap else norm * 4
+    cfg = dataclasses.replace(model.config, learning_rate=0.3, clip_norm=cap)
+    model = dataclasses.replace(model, config=cfg)
+    before = model.copy_params()
+    train_step(GRAD_PAIRS, model, TrainingState())
+    for name, g in grads.items():
+        step = g * (cap / norm) if above_the_cap else g
+        assert np.array_equal(model.params[name], before[name] - cfg.learning_rate * step), name
 
 
 def test_a_batch_holding_any_empty_input_is_rejected():
