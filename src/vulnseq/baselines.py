@@ -175,7 +175,7 @@ class ClassifierConfig:
 class LinearClassifier:
     weights: dict[str, float]
     bias: float
-    threshold: float = 0.5
+    threshold: float
 
     def score(self, fv: FeatureVector) -> float:
         z = self.bias + sum(

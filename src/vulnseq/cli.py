@@ -11,21 +11,22 @@ Conventions shared by every subcommand:
 - exit code 0 on success, 1 on usage/validation/input errors, 2 on
   internal errors.
 
-Model settings resolve with precedence flags > config file > profile.
-The ``desk`` profile is sized to train in minutes on one core; the
-``paper`` profile keeps the large-scale values (256 hidden units,
-50,000 steps in blocks of 5,000).
+Model settings resolve with precedence flags > config file > profile >
+ModelConfig's defaults. The ``desk`` profile is sized to train in
+minutes on one core; the ``paper`` profile keeps the large-scale values
+(256 hidden units, 50,000 steps).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .abstraction import source_sequences
-from .baselines import ClassifierConfig, Technique, run_baseline
+from .baselines import DEFAULT_BINS, ClassifierConfig, Technique, run_baseline
 from .corpus import Corpus, Setting, load_corpus, save_corpus, training_material
 from .cparse import extract_functions, tokenize
 from .errors import ConfigError, VulnseqError
@@ -36,30 +37,17 @@ from .predict import predict_release
 from .seq2seq import ModelConfig, load_model, save_model, split_holdout, train
 from .synth import SynthesisSpec, generate_synthetic_corpus
 
-# Profile values layered on top of the ModelConfig defaults. The desk
-# learning rate is tuned so the small model memorizes a desk-scale
-# corpus within its step budget; the paper profile only upsizes the
-# capacity and step counts. Both keep the standard 5000-step iteration
-# block: desk-scale validation sets are a handful of pairs, and their
-# exact-match rate plateaus between short blocks long before the model
-# converges, which would trip the stop-on-no-improvement rule early.
+# Profile values layered on top of the ModelConfig defaults; each holds
+# only what differs from them. The desk learning rate is tuned so the
+# small model memorizes a desk-scale corpus within its step budget; the
+# paper profile also upsizes the capacity and step budget. Both keep
+# ModelConfig's iteration block: desk-scale validation sets are a
+# handful of pairs, and their exact-match rate plateaus between short
+# blocks long before the model converges, which would trip the
+# stop-on-no-improvement rule early.
 _PROFILES: dict[str, dict[str, object]] = {
-    "desk": {
-        "embedding_dim": 32,
-        "hidden_units": 32,
-        "learning_rate": 1.0,
-        "batch_size": 16,
-        "iteration_steps": 5000,
-        "max_steps": 5000,
-    },
-    "paper": {
-        "embedding_dim": 32,
-        "hidden_units": 256,
-        "learning_rate": 1.0,
-        "batch_size": 16,
-        "iteration_steps": 5000,
-        "max_steps": 50000,
-    },
+    "desk": {"learning_rate": 1.0},
+    "paper": {"learning_rate": 1.0, "hidden_units": 256, "max_steps": 50000},
 }
 
 # every model setting has a flag but the seed, which --seed shares with pairing
@@ -73,16 +61,6 @@ _TECHNIQUES = {
     "calls": Technique.FUNCTION_CALLS,
     "textmining": Technique.TEXT_MINING,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one training/evaluation run."""
-
-    seed: int
-    profile: str
-    model: ModelConfig
-    pairing: PairingConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,19 +114,14 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - {"seed", "profile", "model", "pairing"}
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-    model_section = data.get("model", {})
-    if not isinstance(model_section, dict):
-        raise ConfigError("config key 'model' must hold an object")
-    allowed = {f.name for f in _MODEL_FLAG_FIELDS}
-    for key in model_section:
-        if key not in allowed:
-            raise ConfigError(f"unknown model config key: {key}")
-    pairing_section = data.get("pairing", {})
-    if not isinstance(pairing_section, dict):
-        raise ConfigError("config key 'pairing' must hold an object")
-    for key in pairing_section:
-        if key != "non_vuln_ratio":
-            raise ConfigError(f"unknown pairing config key: {key}")
+    # a section sets its config's fields but the seed, which "seed" sets for both
+    for section, config in (("model", ModelConfig), ("pairing", PairingConfig)):
+        values = data.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"config key {section!r} must hold an object")
+        for key in values:
+            if key == "seed" or key not in {f.name for f in fields(config)}:
+                raise ConfigError(f"unknown {section} config key: {key}")
     if "profile" in data and not (
         isinstance(data["profile"], str) and data["profile"] in _PROFILES
     ):
@@ -156,24 +129,23 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, optional config file, and profile defaults; the
-    configs check the values' types."""
+def resolve_run_config(args: argparse.Namespace) -> tuple[str, ModelConfig, PairingConfig]:
+    """Merge flags, optional config file, and profile over the configs'
+    defaults into (profile name, model, pairing); the configs check the
+    values' types. One seed feeds both configs."""
     data = _load_config_file(args.config) if args.config else {}
     profile = args.profile or data.get("profile", "desk")
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
+    seed = args.seed if args.seed is not None else data.get("seed", ModelConfig.seed)
     values = dict(_PROFILES[profile])
     values.update(data.get("model", {}))
     for field in _MODEL_FLAG_FIELDS:
         flag_value = getattr(args, field.name)
         if flag_value is not None:
             values[field.name] = flag_value
-    model = ModelConfig(seed=seed, **values)
-    ratio = args.ratio
-    if ratio is None:
-        ratio = data.get("pairing", {}).get("non_vuln_ratio", 5.0)
-    pairing = PairingConfig(non_vuln_ratio=ratio, seed=seed)
-    return RunConfig(seed=seed, profile=profile, model=model, pairing=pairing)
+    pairing = dict(data.get("pairing", {}))
+    if args.ratio is not None:
+        pairing["non_vuln_ratio"] = args.ratio
+    return profile, ModelConfig(seed=seed, **values), PairingConfig(seed=seed, **pairing)
 
 
 def _release(corpus: Corpus, index: int):
@@ -281,19 +253,19 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
+    profile, model_config, pairing = resolve_run_config(args)
     corpus = _load_corpus(args.input)
     setting = _SETTINGS[args.setting]
     material = training_material(corpus, args.release, setting)
     labeled = labeled_functions_from_material(material)
-    pairs = build_training_pairs(labeled, rc.pairing)
-    train_pairs, validation = split_holdout(pairs, args.holdout, seed=rc.seed)
-    model = train(train_pairs, validation, rc.model)
+    pairs = build_training_pairs(labeled, pairing)
+    train_pairs, validation = split_holdout(pairs, args.holdout, seed=model_config.seed)
+    model = train(train_pairs, validation, model_config)
     save_model(model, args.output)
     print(
         f"wrote {args.output}: trained on {len(train_pairs)} pairs "
         f"({len(validation)} held out), vocabulary {model.vocabulary.size()}, "
-        f"profile {rc.profile}"
+        f"profile {profile}"
     )
     return 0
 
@@ -322,10 +294,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
+    _, model_config, pairing = resolve_run_config(args)
     corpus = _load_corpus(args.input)
     setting = _SETTINGS[args.setting]
-    reports = run_experiment(corpus, setting, rc.model, rc.pairing)
+    reports = run_experiment(corpus, setting, model_config, pairing)
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
     _write_output(args.output, text)
     print(json.dumps(summarize(reports), sort_keys=True))
@@ -336,11 +308,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.input)
     technique = _TECHNIQUES[args.technique]
     setting = _SETTINGS[args.setting]
+    # the classifier flags' dests are the config's field names
     classifier = ClassifierConfig(
-        learning_rate=args.learning_rate,
-        iterations=args.iterations,
-        l2=args.l2,
-        threshold=args.threshold,
+        **{f.name: getattr(args, f.name) for f in fields(ClassifierConfig)}
     )
     reports = run_baseline(corpus, technique, setting, classifier, bins=args.bins)
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
@@ -370,12 +340,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
         help="size profile for model settings (default: desk)",
     )
     p.add_argument("--config", default=None, help="JSON config file (flags win over it)")
-    p.add_argument("--seed", type=int, default=None, help="global random seed (default: 0)")
+    p.add_argument("--seed", type=int, default=None, help=f"global random seed (default: {ModelConfig.seed})")
     p.add_argument(
         "--ratio",
         type=float,
         default=None,
-        help="echo pairs sampled per fix pair (default: 5.0)",
+        help=f"echo pairs sampled per fix pair (default: {PairingConfig.non_vuln_ratio})",
     )
     for field in _MODEL_FLAG_FIELDS:
         p.add_argument(
@@ -404,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("synth", cmd_synth, "generate a synthetic release corpus")
     p.add_argument("--seed", type=int, default=0, help="generation seed")
-    p.add_argument("--releases", type=int, default=4, help="number of releases")
-    p.add_argument("--components", type=int, default=30, help="components per release")
-    p.add_argument("--vuln-fraction", type=float, default=0.2, help="vulnerable share per release")
-    p.add_argument("--skew", type=float, default=1.0, help="identifier spelling skew")
-    p.add_argument("--detection-lag", type=int, default=30, help="days until a vulnerability is reported")
-    p.add_argument("--carryover", type=float, default=0.34, help="share of vulnerabilities left unfixed per release")
+    p.add_argument("--releases", type=int, default=SynthesisSpec.n_releases, help="number of releases")
+    p.add_argument("--components", type=int, default=SynthesisSpec.components_per_release, help="components per release")
+    p.add_argument("--vuln-fraction", type=float, default=SynthesisSpec.vuln_fraction, help="vulnerable share per release")
+    p.add_argument("--skew", type=float, default=SynthesisSpec.vocabulary_skew, help="identifier spelling skew")
+    p.add_argument("--detection-lag", type=int, default=SynthesisSpec.detection_lag_days, help="days until a vulnerability is reported")
+    p.add_argument("--carryover", type=float, default=SynthesisSpec.carryover_fraction, help="share of vulnerabilities left unfixed per release")
     p.add_argument("--no-sentinel", action="store_true", help="do not plant the sentinel helper call")
     p.add_argument("--shared-names", action="store_true", help="draw identifiers from a shared pool")
     p.add_argument("--rewrite-fixes", action="store_true", help="fixes replace files instead of patching them")
@@ -431,15 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--release", type=int, required=True, help="training release index")
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="clean", help="training material setting")
-    p.add_argument("--ratio", type=float, default=5.0, help="echo pairs sampled per fix pair")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--ratio", type=float, default=PairingConfig.non_vuln_ratio, help="echo pairs sampled per fix pair")
+    p.add_argument("--seed", type=int, default=PairingConfig.seed, help="sampling seed")
     _add_output_flag(p)
 
     p = command("train", cmd_train, "train a sequence model on one release")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--release", type=int, required=True, help="training release index")
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="clean", help="training material setting")
-    p.add_argument("--holdout", type=float, default=0.1, help="validation fraction for early stopping")
+    holdout = inspect.signature(split_holdout).parameters["fraction"].default
+    p.add_argument("--holdout", type=float, default=holdout, help="validation fraction for early stopping")
     _add_model_flags(p)
     _add_output_flag(p)
 
@@ -461,11 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--technique", choices=sorted(_TECHNIQUES), required=True, help="feature family")
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="clean", help="training material setting")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="report format")
-    p.add_argument("--bins", type=int, default=10, help="token-count bins for textmining")
-    p.add_argument("--iterations", type=int, default=300, help="gradient-descent iterations")
-    p.add_argument("--learning-rate", type=float, default=1.0, help="classifier learning rate")
-    p.add_argument("--l2", type=float, default=1e-3, help="L2 penalty")
-    p.add_argument("--threshold", type=float, default=0.5, help="decision threshold (strictly greater)")
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS, help="token-count bins for textmining")
+    p.add_argument("--iterations", type=int, default=ClassifierConfig.iterations, help="gradient-descent iterations")
+    p.add_argument("--learning-rate", type=float, default=ClassifierConfig.learning_rate, help="classifier learning rate")
+    p.add_argument("--l2", type=float, default=ClassifierConfig.l2, help="L2 penalty")
+    p.add_argument("--threshold", type=float, default=ClassifierConfig.threshold, help="decision threshold (strictly greater)")
     _add_output_flag(p)
 
     return parser

@@ -221,7 +221,7 @@ def run_experiment(
             try:
                 labeled = labeled_functions_from_material(material)
                 pairs = build_training_pairs(labeled, pairing_config)
-                train_pairs, validation = split_holdout(pairs, 0.1, seed=model_config.seed)
+                train_pairs, validation = split_holdout(pairs, seed=model_config.seed)
                 models.append(train(train_pairs, validation, model_config))
             except VulnseqError as exc:
                 models.append(exc)

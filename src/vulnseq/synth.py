@@ -329,6 +329,9 @@ def vulnerable_file(
 
 def generate_synthetic_corpus(seed: int, spec: SynthesisSpec) -> Corpus:
     """Pure function of (seed, spec): same inputs, byte-identical corpus."""
+    # random.Random seeds from |seed|, so -5 would silently repeat seed 5
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
     rng = random.Random(seed)
     n_vuln = spec.vulnerable_per_release
     paths = [

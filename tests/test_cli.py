@@ -11,9 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from vulnseq.cli import main
-from vulnseq.corpus import ComponentRecord, Label, load_corpus, save_corpus
+from vulnseq.baselines import ClassifierConfig, Technique, run_baseline
+from vulnseq.cli import build_parser, main, resolve_run_config
+from vulnseq.corpus import (
+    ComponentRecord,
+    Label,
+    Setting,
+    load_corpus,
+    save_corpus,
+    training_material,
+)
 from vulnseq.errors import IntegrityError, ParseError, VersionError
+from vulnseq.evaluate import reports_to_jsonl
+from vulnseq.pairing import PairingConfig, build_training_pairs, labeled_functions_from_material
 from vulnseq.seq2seq import load_model, save_model
 from vulnseq.synth import SynthesisSpec, generate_synthetic_corpus
 
@@ -76,6 +86,21 @@ def test_synth_is_seed_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_synth_defaults_to_the_default_spec(tmp_path):
+    out, expected = tmp_path / "cli.jsonl", tmp_path / "library.jsonl"
+    assert main(["synth", "--seed", "3", "-o", str(out)]) == 0
+    save_corpus(generate_synthetic_corpus(3, SynthesisSpec()), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_synth_negative_seed_exits_one(tmp_path, capsys):
+    # random.Random seeds from |seed|, so -5 must not give seed 5's corpus
+    out = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "-5", "-o", str(out)]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_round_trips_canonical_form(corpus_file, tmp_path):
     out = tmp_path / "canon.jsonl"
     assert main(["ingest", "-i", str(corpus_file), "-o", str(out)]) == 0
@@ -114,6 +139,20 @@ def test_pair_writes_training_rows(corpus_file, tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_pair_defaults_to_the_default_pairing_config(corpus_file, tmp_path):
+    out = tmp_path / "pairs.jsonl"
+    assert main(["pair", "-i", str(corpus_file), "--release", "1", "-o", str(out)]) == 0
+    material = training_material(load_corpus(str(corpus_file)), 1, Setting.CLEAN)
+    pairs = build_training_pairs(labeled_functions_from_material(material), PairingConfig())
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["kind"], r["path"], r["function"], r["chunk"], r["input"], r["target"])
+            for r in rows] == [
+        (p.kind.value, p.input.source_path, p.input.function_name, p.input.chunk_index,
+         list(p.input.tokens), list(p.target.tokens))
+        for p in pairs
+    ]
+
+
 def test_train_then_predict_cycle(corpus_file, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     verdicts = tmp_path / "v.jsonl"
@@ -145,14 +184,33 @@ def test_profile_and_flag_precedence(corpus_file, tmp_path):
     assert load_model(str(from_flag)).config.hidden_units == 6
 
 
-def test_paper_profile_sets_large_scale_values(corpus_file, tmp_path):
-    ckpt = tmp_path / "paper.ckpt"
-    assert main(["train", "-i", str(corpus_file), "--release", "0",
-                 "--profile", "paper", "--max-steps", "0", "-o", str(ckpt)]) == 0
-    cfg = load_model(str(ckpt)).config
-    assert cfg.hidden_units == 256
-    assert cfg.iteration_steps == 5000
-    assert cfg.max_steps == 0  # the explicit flag still wins
+# every model setting of each profile spelled out, so that a change to
+# ModelConfig's defaults cannot move a profile unnoticed
+PROFILE_SETTINGS = {
+    "desk": {
+        "embedding_dim": 32, "hidden_units": 32, "learning_rate": 1.0, "batch_size": 16,
+        "clip_norm": 5.0, "iteration_steps": 5000, "max_steps": 5000, "min_count": 1,
+        "seed": 0,
+    },
+    "paper": {
+        "embedding_dim": 32, "hidden_units": 256, "learning_rate": 1.0, "batch_size": 16,
+        "clip_norm": 5.0, "iteration_steps": 5000, "max_steps": 50000, "min_count": 1,
+        "seed": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILE_SETTINGS))
+def test_profile_sets_every_model_setting(profile, corpus_file, tmp_path):
+    argv = ["train", "-i", str(corpus_file), "--release", "0", "--profile", profile]
+    _, model_config, _ = resolve_run_config(build_parser().parse_args([*argv, "-o", "unused"]))
+    assert dataclasses.asdict(model_config) == PROFILE_SETTINGS[profile]
+
+    ckpt = tmp_path / f"{profile}.ckpt"
+    assert main([*argv, "--max-steps", "0", "-o", str(ckpt)]) == 0
+    # the explicit flag still wins
+    expected = {**PROFILE_SETTINGS[profile], "max_steps": 0}
+    assert dataclasses.asdict(load_model(str(ckpt)).config) == expected
 
 
 def test_seed_flag_feeds_model_config(corpus_file, tmp_path):
@@ -626,6 +684,15 @@ def test_baseline_subcommand(corpus_file, tmp_path):
                  "-o", str(out)]) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["kind"] for r in rows] == ["report", "report", "summary"]
+
+
+def test_baseline_defaults_to_the_default_classifier_config(corpus_file, tmp_path):
+    out = tmp_path / "base.jsonl"
+    assert main(["baseline", "-i", str(corpus_file), "--technique", "textmining",
+                 "-o", str(out)]) == 0
+    reports = run_baseline(load_corpus(str(corpus_file)), Technique.TEXT_MINING,
+                           Setting.CLEAN, ClassifierConfig())
+    assert out.read_text() == reports_to_jsonl(reports)
 
 
 @pytest.mark.parametrize("flags", [["--learning-rate", "1e5"], ["--l2", "1e300"]])
