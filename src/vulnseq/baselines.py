@@ -28,7 +28,6 @@ from .cparse import (
     Spellings,
     classify_identifier_roles,
     extract_functions,
-    spelling_table,
     strip_noise,
     tokenize,
 )
@@ -337,7 +336,7 @@ def run_baseline(
     # a middle release is pair i's test set and pair i+1's training set;
     # featurise each component once per run, and classify each distinct
     # spelling once across the run's components
-    spellings = spelling_table()
+    spellings: Spellings = {}
 
     @functools.cache
     def features(component: ComponentRecord) -> FeatureVector:

@@ -15,8 +15,8 @@ two, and its punctuator alternative lists only the multi-character
 keeps the longest match. Spellings are classified once per call, not
 once per file: a front-end call over many sources (prediction over a
 release, a baseline run, pairing a release's fix pairs) lexes them all
-with one ``spelling_table()``, which it drops when it returns, so
-nothing is kept from one call to the next.
+with one fresh dict as its spelling table, which it drops when it
+returns, so nothing is kept from one call to the next.
 
 Each product is built once, and only for the callers that read it. The
 file pass strips noise once; a ``FunctionUnit`` keeps only its slices of
@@ -135,15 +135,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_GROUP_KIND = {
-    "whitespace": TokenKind.WHITESPACE,
-    "comment": TokenKind.COMMENT,
-    "string_literal": TokenKind.STRING_LITERAL,
-    "char_literal": TokenKind.CHAR_LITERAL,
-    "number_literal": TokenKind.NUMBER_LITERAL,
-    "identifier": TokenKind.IDENTIFIER,
-    "punctuator": TokenKind.PUNCTUATOR,
-}
+# each kind's value is its regex group's name
+_GROUP_KIND = {kind.value: kind for kind in TokenKind}
 
 # Openers whose token never closes; the regex reaches them only after the
 # terminated forms above have failed at the same position.
@@ -173,19 +166,8 @@ _FIXED_TOKENS = MappingProxyType(
 _OPENERS = frozenset({"/*", '"', "'"})
 
 
-# Spelling -> token, for the sources of one call (see ``spelling_table``).
+# Spelling -> token, for the sources of one call: any dict, fresh per call.
 Spellings = dict[str, Token]
-
-
-def spelling_table() -> Spellings:
-    """A fresh spelling-to-token table for the sources of one call.
-
-    ``tokenize`` adds each spelling it classifies, so the other sources
-    lexed with the same table reuse it. Seeded with the fixed keyword and
-    punctuator tokens. The call drops it when it returns, so nothing is
-    kept from one call to the next.
-    """
-    return dict(_FIXED_TOKENS)
 
 
 def tokenize(source: str, spellings: Spellings | None = None) -> list[Token]:
@@ -194,23 +176,24 @@ def tokenize(source: str, spellings: Spellings | None = None) -> list[Token]:
     Preprocessor lines are lexed as ordinary tokens; no macro expansion.
     Raises LexError only for unterminated string/char literals or an
     unterminated block comment. Each distinct spelling is classified once
-    per table: pass one ``spelling_table()`` to every source of a call to
-    share the work across them (a source that raises adds nothing to it).
-    The table must come from ``spelling_table()``: keyword tokens come
-    only from its seed.
+    per table: pass one dict to every source of a call to share the work
+    across them (a source that raises adds nothing to it). Any dict will
+    do, empty or filled by earlier sources of the same call.
     Equal tokens may be one shared object, so compare tokens by value,
     never by identity.
     """
     texts = _SPLIT_RE.findall(source)
     if spellings is None:
-        spellings = spelling_table()
+        spellings = {}
     new = set(texts).difference(spellings)
     if not _OPENERS.isdisjoint(new):
         m = next(m for m in _TOKEN_RE.finditer(source) if m.lastgroup in _UNTERMINATED)
         offset = len(source[: m.start()].encode("utf-8"))
         raise LexError(_UNTERMINATED[m.lastgroup], offset)
     for text in new:
-        spellings[text] = Token(text, _GROUP_KIND[_TOKEN_RE.match(text).lastgroup])
+        spellings[text] = _FIXED_TOKENS.get(text) or Token(
+            text, _GROUP_KIND[_TOKEN_RE.match(text).lastgroup]
+        )
     return list(map(spellings.__getitem__, texts))
 
 

@@ -146,63 +146,45 @@ def run_release_pairs(
     For each consecutive pair (i, i+1) it builds release i's training
     material under the setting. One fit call then receives every built
     material, in pair order, and returns one outcome per material: a
-    model, or the VulnseqError that stopped that pair's fit. Last, pair
-    by pair, predict(model, release i+1) is scored against that
-    release's labels. A pair whose material, fit, prediction or scoring
-    raises a VulnseqError gets a failed row.
+    model, or the VulnseqError that stopped that pair's fit (any other
+    count raises ValueError). Last, pair by pair, predict(model, release
+    i+1) is scored against that release's labels. A pair whose material,
+    fit, prediction or scoring raises a VulnseqError gets a failed row.
     """
     if len(corpus.releases) < 2:
         raise ConfigError("an experiment needs at least two releases")
-    n_pairs = len(corpus.releases) - 1
-    outcomes: list[Model | VulnseqError | None] = [None] * n_pairs
-    built: list[tuple[int, TrainingMaterial]] = []
-    for i in range(n_pairs):
+    pairs = list(zip(corpus.releases, corpus.releases[1:]))
+    # each pair's material, or the error that stopped building it
+    outcomes: list[TrainingMaterial | Model | VulnseqError] = []
+    for i in range(len(pairs)):
         try:
-            built.append((i, training_material(corpus, i, setting)))
+            outcomes.append(training_material(corpus, i, setting))
         except VulnseqError as exc:
-            outcomes[i] = exc
-    fitted = fit([material for _, material in built])
-    for (i, _), outcome in zip(built, fitted, strict=True):
-        outcomes[i] = outcome
+            outcomes.append(exc)
+    materials = [o for o in outcomes if not isinstance(o, VulnseqError)]
+    fitted = fit(materials)
+    if len(fitted) != len(materials):
+        raise ValueError(f"fit gave {len(fitted)} outcomes for {len(materials)} materials")
+    models = iter(fitted)
+    outcomes = [o if isinstance(o, VulnseqError) else next(models) for o in outcomes]
 
     reports: list[EvaluationReport] = []
-    for i, outcome in enumerate(outcomes):
-        train_release = corpus.releases[i]
-        test_release = corpus.releases[i + 1]
+    for (train_release, test_release), outcome in zip(pairs, outcomes):
+        row = dict(
+            train_release=train_release.name, test_release=test_release.name, setting=setting
+        )
         try:
             if isinstance(outcome, VulnseqError):
                 raise outcome
             predictions = predict(outcome, test_release)
-            truth = {c.path: c.label for c in test_release.components}
-            cm = confusion(predictions, truth)
-            m = metrics(cm)
-            existing, novel = novel_existing_breakdown(
-                predictions, test_release, train_release
-            )
-            reports.append(
-                EvaluationReport(
-                    train_release=train_release.name,
-                    test_release=test_release.name,
-                    setting=setting,
-                    matrix=cm,
-                    precision=m.precision,
-                    recall=m.recall,
-                    f_measure=m.f_measure,
-                    mcc=m.mcc,
-                    existing_detected_pct=existing,
-                    novel_detected_pct=novel,
-                )
+            cm = confusion(predictions, {c.path: c.label for c in test_release.components})
+            existing, novel = novel_existing_breakdown(predictions, test_release, train_release)
+            row |= asdict(metrics(cm)) | dict(
+                matrix=cm, existing_detected_pct=existing, novel_detected_pct=novel
             )
         except VulnseqError as exc:
-            reports.append(
-                EvaluationReport(
-                    train_release=train_release.name,
-                    test_release=test_release.name,
-                    setting=setting,
-                    failed=True,
-                    error=str(exc),
-                )
-            )
+            row |= dict(failed=True, error=str(exc))
+        reports.append(EvaluationReport(**row))
     return reports
 
 

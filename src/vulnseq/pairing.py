@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .abstraction import AbstractedSequence, IdMap, SeqRole, function_sequences
 from .corpus import Label, TrainingMaterial
-from .cparse import FunctionUnit, Spellings, extract_functions, spelling_table, tokenize
-from .errors import ConfigError, check_field_types
+from .cparse import FunctionUnit, Spellings, extract_functions, tokenize
+from .errors import ConfigError, LexError, StructureError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -86,24 +86,34 @@ def labeled_functions_from_component(
     path: str,
     spellings: Spellings | None = None,
 ) -> list[LabeledFunction]:
-    """Labelled pairs of one component; ``spellings`` is as in ``tokenize``."""
-    before = extract_functions(tokenize(source, spellings))
-    after = extract_functions(tokenize(fixed_source, spellings))
-    return [label_pair(b, a, path) for b, a in pair_functions(before, after)]
+    """Labelled pairs of one component; ``spellings`` is as in ``tokenize``.
+    A LexError or StructureError names the path and the source that failed."""
+    units = []
+    for which, text in (("source", source), ("fixed source", fixed_source)):
+        try:
+            units.append(extract_functions(tokenize(text, spellings)))
+        except (LexError, StructureError) as exc:
+            exc.args = (f"{path} ({which}): {exc}",)
+            raise
+    return [label_pair(b, a, path) for b, a in pair_functions(*units)]
 
 
 def labeled_functions_from_material(
     material: TrainingMaterial,
 ) -> list[LabeledFunction]:
     labeled: list[LabeledFunction] = []
-    spellings = spelling_table()  # shared by every source of the material
+    spellings: Spellings = {}  # shared by every source of the material
     for comp in material.fix_pairs:
         assert comp.fixed_source is not None
-        labeled.extend(
-            labeled_functions_from_component(
-                comp.source, comp.fixed_source, comp.path, spellings
+        try:
+            labeled.extend(
+                labeled_functions_from_component(
+                    comp.source, comp.fixed_source, comp.path, spellings
+                )
             )
-        )
+        except (LexError, StructureError) as exc:
+            exc.args = (f"{material.release_name} {exc}",)  # and the release
+            raise
     return labeled
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .abstraction import source_sequences
 from .corpus import ComponentRecord, Release
-from .cparse import Spellings, spelling_table
+from .cparse import Spellings
 from .errors import LexError, StructureError
 from .seq2seq import Seq2SeqModel, greedy_reproduces
 
@@ -58,7 +58,7 @@ def _verdicts(
 ) -> list[ComponentVerdict]:
     # the components share one spelling table: each distinct spelling is
     # classified once per call
-    spellings = spelling_table()
+    spellings: Spellings = {}
     rows = [_component_rows(c, spellings) for c in components]
     # a verdict depends on the chunk's tokens alone, and chunks repeat a
     # lot, so each distinct chunk is encoded and checked once

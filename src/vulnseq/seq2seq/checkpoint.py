@@ -120,7 +120,6 @@ def load_model(path: str) -> Seq2SeqModel:
         raise VersionError("vocabulary reserved entries do not match")
     if len(set(tokens)) != len(tokens):
         raise VersionError("vocabulary holds a token twice")
-    vocabulary = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
     n_params = r.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
@@ -133,7 +132,7 @@ def load_model(path: str) -> Seq2SeqModel:
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after parameters")
     try:
-        model = Seq2SeqModel(config, vocabulary, params)
+        model = Seq2SeqModel(config, Vocabulary(tokens), params)
     except ShapeError as exc:
         raise VersionError(f"stored tensors do not match the stored config: {exc}") from None
     for name, tensor in model.params.items():

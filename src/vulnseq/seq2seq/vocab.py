@@ -25,10 +25,12 @@ RESERVED_TOKENS = ("<pad>", "<sos>", "<eos>", "<unk>")
 @dataclass(frozen=True)
 class Vocabulary:
     index_to_token: tuple[str, ...]
-    token_to_index: dict[str, int] = field(repr=False)
+    token_to_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert self.index_to_token[: len(RESERVED_TOKENS)] == RESERVED_TOKENS
+        index = {t: i for i, t in enumerate(self.index_to_token)}
+        object.__setattr__(self, "token_to_index", index)
 
     def size(self) -> int:
         return len(self.index_to_token)
@@ -39,15 +41,6 @@ class Vocabulary:
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.index_to_token[i] for i in ids]
-
-
-def _from_entries(entries: list[str]) -> Vocabulary:
-    index_to_token = RESERVED_TOKENS + tuple(entries)
-    token_to_index = {t: i for i, t in enumerate(index_to_token)}
-    # reserved markers win if a data token collides with their spelling
-    for i, t in enumerate(RESERVED_TOKENS):
-        token_to_index[t] = i
-    return Vocabulary(index_to_token, token_to_index)
 
 
 def build_vocabulary(
@@ -62,4 +55,4 @@ def build_vocabulary(
         raise EmptyCorpus("sequences contain no tokens")
     kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED_TOKENS]
     kept.sort(key=lambda t: (-counts[t], t))
-    return _from_entries(kept)
+    return Vocabulary(RESERVED_TOKENS + tuple(kept))

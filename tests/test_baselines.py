@@ -34,7 +34,7 @@ from vulnseq.corpus import (
     clean_training_set,
     training_material,
 )
-from vulnseq.cparse import Role, extract_functions, spelling_table, strip_noise, tokenize
+from vulnseq.cparse import Role, extract_functions, strip_noise, tokenize
 from vulnseq.errors import (
     ConfigError,
     DegenerateLabels,
@@ -241,7 +241,7 @@ def _reference_features(component, technique):
 def test_features_equal_the_per_token_loops(technique):
     # one spelling table for the whole corpus, as a baseline run shares it
     corpus = generate_synthetic_corpus(11, SynthesisSpec())
-    spellings = spelling_table()
+    spellings = {}
     components = [c for release in corpus.releases for c in release.components]
     edge_cases = [
         IGMP_VULN,

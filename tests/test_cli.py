@@ -153,6 +153,42 @@ def test_pair_defaults_to_the_default_pairing_config(corpus_file, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "field, tail, which, message",
+    [
+        ("source", '\nchar *s = "never closed;\n', "source", "unterminated string literal"),
+        ("fixed_source", "}\n", "fixed source", "unbalanced '}' at file scope"),
+    ],
+    ids=["lex", "split"],
+)
+def test_a_source_that_fails_to_lex_or_split_is_named(
+    field, tail, which, message, corpus_file, tmp_path, capsys
+):
+    corpus = load_corpus(str(corpus_file))
+    broken = training_material(corpus, 1, Setting.CLEAN).fix_pairs[0]
+    release = corpus.releases[1]
+    components = tuple(
+        dataclasses.replace(c, **{field: getattr(c, field) + tail}) if c == broken else c
+        for c in release.components
+    )
+    releases = (corpus.releases[0], dataclasses.replace(release, components=components),
+                *corpus.releases[2:])
+    bad = tmp_path / "bad.jsonl"
+    save_corpus(dataclasses.replace(corpus, releases=releases), str(bad))
+    named = f"{release.name} {broken.path} ({which}): {message}"
+    for command in (["pair"], ["train", *TINY_MODEL_FLAGS]):
+        out = tmp_path / "out"
+        assert main([*command, "-i", str(bad), "--release", "1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not out.exists()
+    # the experiment writes the same text into that pair's failed row
+    out = tmp_path / "evaluate.jsonl"
+    assert main(["evaluate", "-i", str(bad), *TINY_MODEL_FLAGS, "-o", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("failed") for r in rows] == [False, True, None]
+    assert rows[1]["error"].startswith(named)
+
+
 def test_train_then_predict_cycle(corpus_file, tmp_path):
     ckpt = tmp_path / "m.ckpt"
     verdicts = tmp_path / "v.jsonl"

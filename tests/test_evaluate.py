@@ -313,6 +313,23 @@ def test_walk_builds_every_material_then_fits_once_then_scores(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("missing", [1, -1])
+def test_walk_raises_when_fit_returns_another_count(missing):
+    corpus = generate_synthetic_corpus(3, SynthesisSpec(n_releases=4, components_per_release=6))
+    predicted = []
+
+    def fit(materials):
+        return ["model"] * (len(materials) - missing)
+
+    def predict(model, release):
+        predicted.append(release.name)
+        return [_verdict(c.path, False) for c in release.components]
+
+    with pytest.raises(ValueError):
+        run_release_pairs(corpus, Setting.CLEAN, fit, predict)
+    assert predicted == []
+
+
 def test_a_pair_whose_training_raises_fails_alone(monkeypatch):
     import vulnseq.evaluate as ev
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import vulnseq.cparse as cparse
 from vulnseq.baselines import Technique, run_baseline
 from vulnseq.corpus import ComponentRecord, Label, Setting, training_material
-from vulnseq.cparse import KEYWORDS, PUNCTUATORS, Token, TokenKind, spelling_table, tokenize
+from vulnseq.cparse import KEYWORDS, PUNCTUATORS, Token, TokenKind, tokenize
 from vulnseq.errors import LexError
 from vulnseq.pairing import labeled_functions_from_material
 from vulnseq.predict import predict_release
@@ -116,7 +116,7 @@ C_ALPHABET = list(PUNCTUATORS) + [
 
 
 def _assert_parity_in_one_call(sources: list[str]) -> None:
-    spellings = spelling_table()
+    spellings = {}
     shared = [_outcome(lambda s: tokenize(s, spellings), s) for s in sources]
     assert shared == [_outcome(reference_tokenize, s) for s in sources], sources
 
@@ -150,7 +150,7 @@ def test_parity_on_synthetic_sources():
                     sources.add(comp.fixed_source)
     assert len(sources) > 2000
     # each source alone, and all of them as the sources of one call
-    spellings = spelling_table()
+    spellings = {}
     for source in sorted(sources):
         expected = _outcome(reference_tokenize, source)
         assert _outcome(tokenize, source) == expected, source
@@ -222,13 +222,26 @@ ONE_CALL_SOURCES = [
 
 def test_one_call_matches_each_source_lexed_alone():
     _assert_parity_in_one_call(ONE_CALL_SOURCES)
-    spellings = spelling_table()
+    spellings = {}
     tokenize(ONE_CALL_SOURCES[0], spellings)
     before = dict(spellings)
     with pytest.raises(LexError, match="unterminated string literal") as info:
         tokenize(ONE_CALL_SOURCES[1], spellings)
     assert info.value.offset == 34  # "é" is two bytes
     assert spellings == before, "a source that fails to lex adds no spelling"
+
+
+def test_keyword_tokens_do_not_depend_on_the_table():
+    tokens = tokenize("int x;", {})
+    assert [(t.text, t.kind) for t in tokens] == [
+        ("int", TokenKind.KEYWORD), (" ", TokenKind.WHITESPACE),
+        ("x", TokenKind.IDENTIFIER), (";", TokenKind.PUNCTUATOR),
+    ]
+    assert tokens == tokenize("int x;")
+    # one dict reused across sources, as a front-end call shares it
+    spellings = {}
+    for source in ["int x;", "x = sizeof(int);", "return x;", *ONE_CALL_SOURCES[:-1:2]]:
+        assert tokenize(source, spellings) == tokenize(source), source
 
 
 # --- one spelling table per front-end call ------------------------------

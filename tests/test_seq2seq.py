@@ -92,6 +92,14 @@ def test_vocabulary_min_count_maps_rare_tokens_to_unk():
     assert vocab.encode(["x", "y"]) == [4, UNK]
 
 
+@pytest.mark.parametrize("marker, index", [("<eos>", EOS), ("<unk>", UNK)])
+def test_a_data_token_spelled_like_a_reserved_marker_takes_its_index(marker, index):
+    vocab = build_vocabulary([_seq(["x", marker, marker, "y"])])
+    assert vocab.index_to_token.count(marker) == 1
+    assert vocab.size() == 4 + 2
+    assert vocab.encode(["x", marker]) == [vocab.token_to_index["x"], index]
+
+
 def test_vocabulary_empty_corpus():
     with pytest.raises(EmptyCorpus):
         build_vocabulary([])
@@ -617,7 +625,7 @@ def test_config_tensor_mismatch_is_a_version_error(tmp_path):
 def test_vocabulary_holding_a_token_twice_is_a_version_error(tmp_path):
     model = _tiny_model()
     tokens = model.vocabulary.index_to_token
-    model.vocabulary = Vocabulary(tokens[:-1] + tokens[-2:-1], {})
+    model.vocabulary = Vocabulary(tokens[:-1] + tokens[-2:-1])
     path = str(tmp_path / "m.ckpt")
     save_model(model, path)
     with pytest.raises(VersionError, match="vocabulary holds a token twice"):
